@@ -19,6 +19,7 @@
 #include "core/toolflow.hpp"
 #include "models/model_tables.hpp"
 #include "sim/isa.hpp"
+#include "sim/model_replay.hpp"
 
 namespace
 {
@@ -240,7 +241,9 @@ BM_SweepDelta(benchmark::State &state)
     // only 4 distinct schedule keys. A serial engine must schedule
     // once per key and replay the rest; the counters (exported to
     // BENCH_SUMMARY.json by scripts/run_benches.sh) pin the >= 2x
-    // fewer-full-schedules acceptance target.
+    // fewer-full-schedules acceptance target. Each iteration runs the
+    // same batch on a fresh engine, so the counters are per-iteration
+    // averages: exactly 20/4/16 however many iterations run.
     struct Knobs
     {
         double gamma;
@@ -279,10 +282,52 @@ BM_SweepDelta(benchmark::State &state)
         full += engine.deltaStats().fullSchedules;
         replays += engine.deltaStats().replays;
     }
-    state.counters["points"] = static_cast<double>(points);
-    state.counters["full_schedules"] = static_cast<double>(full);
-    state.counters["replays"] = static_cast<double>(replays);
+    const auto perIteration = [](size_t total) {
+        return benchmark::Counter(static_cast<double>(total),
+                                  benchmark::Counter::kAvgIterations);
+    };
+    state.counters["points"] = perIteration(points);
+    state.counters["full_schedules"] = perIteration(full);
+    state.counters["replays"] = perIteration(replays);
 }
 BENCHMARK(BM_SweepDelta)->Unit(benchmark::kMillisecond);
+
+void
+BM_ModelReplay(benchmark::State &state)
+{
+    // One model-knob point served by replay instead of a schedule: the
+    // 64-qubit qft on linear:6 at capacity 18 (FM), its recorded log
+    // re-evaluated under a rotating set of model knobs.
+    // scripts/run_benches.sh exports it as model_replay_us.
+    const Circuit native = decomposeToNative(makeBenchmark("qft"));
+    const Topology topo = makeLinear(6, 18);
+    const HardwareParams hw;
+    ModelEvalLog log;
+    ScheduleOptions options;
+    options.collectTrace = false;
+    options.modelLog = &log;
+    Scheduler sched(native, topo, hw, options);
+    const SimResult base = sched.run().metrics;
+
+    std::vector<HardwareParams> knobs;
+    for (int v = 0; v < 8; ++v) {
+        HardwareParams k = hw;
+        k.gammaPerS = 0.5 + 0.25 * v;
+        k.kappa = 2.5e-6 * (1 + v);
+        k.heatingK1 = 0.05 + 0.02 * v;
+        k.heatingK2 = 0.005 + 0.002 * v;
+        k.recoolFactor = 1.0 - 0.1 * v;
+        k.oneQubitError = 1e-5 * (1 + v);
+        k.measureError = 5e-4 * (1 + v);
+        knobs.push_back(k);
+    }
+    size_t i = 0;
+    for (auto _ : state) {
+        const SimResult r =
+            replayModelEval(log, knobs[i++ % knobs.size()], base);
+        benchmark::DoNotOptimize(r.logFidelity);
+    }
+}
+BENCHMARK(BM_ModelReplay)->Unit(benchmark::kMicrosecond);
 
 } // namespace

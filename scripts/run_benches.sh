@@ -123,14 +123,15 @@ for name in "${ONLY[@]+"${ONLY[@]}"}"; do
     fi
 done
 
-# Per-point toolflow latency (microseconds): the BM_ToolflowPoint
-# real_time from the micro_models google-benchmark report, i.e. one
-# shared-context design-point evaluation including the two-pass runtime
-# decomposition. "null" when micro_models was not built or not run.
-toolflow_point_us=null
-if [[ -f "$OUT_DIR/BENCH_micro_models.json" ]]; then
-    extracted=$(awk '
-        /"name": "BM_ToolflowPoint"/ { found = 1 }
+# Per-call latencies (microseconds) from the micro_models
+# google-benchmark report: toolflow_point_us is BM_ToolflowPoint's
+# real_time, one shared-context design-point evaluation including the
+# two-pass runtime decomposition; model_replay_us is BM_ModelReplay's,
+# one model-knob point served by replaying a recorded 64-qubit qft
+# schedule. "null" when micro_models was not built or not run.
+real_time_us() {
+    awk -v name="\"name\": \"$1\"" '
+        index($0, name) { found = 1 }
         found && /"time_unit"/ {
             gsub(/[",]/, ""); unit = $2
         }
@@ -144,14 +145,21 @@ if [[ -f "$OUT_DIR/BENCH_micro_models.json" ]]; then
             else if (unit == "ns") scale = 0.001
             printf "%.3f", rt * scale
             exit
-        }' "$OUT_DIR/BENCH_micro_models.json")
+        }' "$OUT_DIR/BENCH_micro_models.json"
+}
+toolflow_point_us=null
+model_replay_us=null
+if [[ -f "$OUT_DIR/BENCH_micro_models.json" ]]; then
+    extracted=$(real_time_us BM_ToolflowPoint)
     [[ -n "$extracted" ]] && toolflow_point_us=$extracted
+    extracted=$(real_time_us BM_ModelReplay)
+    [[ -n "$extracted" ]] && model_replay_us=$extracted
 fi
 
-# Staged-evaluation delta counters from BM_SweepDelta: points evaluated
-# vs. full schedules actually run on a model-knob-heavy sweep shape
-# (the >= 2x fewer-full-schedules acceptance metric). "null" when
-# micro_models was not built or not run.
+# Staged-evaluation delta counters from BM_SweepDelta, per iteration:
+# points evaluated vs. full schedules actually run on a model-knob-heavy
+# sweep shape (deterministic: 20/4/16; CI compares them exactly).
+# "null" when micro_models was not built or not run.
 sweep_delta_points=null
 sweep_delta_full_schedules=null
 sweep_delta_replays=null
@@ -199,6 +207,7 @@ fi
     echo "{"
     echo "  \"jobs\": $jobs,"
     echo "  \"toolflow_point_us\": $toolflow_point_us,"
+    echo "  \"model_replay_us\": $model_replay_us,"
     echo "  \"sweep_delta_points\": $sweep_delta_points,"
     echo "  \"sweep_delta_full_schedules\": $sweep_delta_full_schedules,"
     echo "  \"sweep_delta_replays\": $sweep_delta_replays,"

@@ -10,6 +10,12 @@ raiseConfigError(const char *msg)
 }
 
 void
+raiseConfigError(const std::string &msg)
+{
+    throw ConfigError(msg);
+}
+
+void
 raiseInternalError(const char *msg)
 {
     throw InternalError(msg);

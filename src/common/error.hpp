@@ -58,6 +58,14 @@ class TimeoutError : public QccdError
 /** @} */
 
 /**
+ * Composed-message form for hot checks: write
+ * `if (!ok) [[unlikely]] raiseConfigError("..." + detail);` so the
+ * message is built only when the check fails, never on the passing
+ * path that `fatalUnless(ok, "..." + detail)` would pay for.
+ */
+[[noreturn]] void raiseConfigError(const std::string &msg);
+
+/**
  * Throw ConfigError when a user-facing precondition fails.
  *
  * @param ok condition that must hold

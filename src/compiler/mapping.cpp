@@ -62,10 +62,10 @@ mapQubits(const Circuit &circuit, const Topology &topo, int buffer_slots,
     fatalUnless(buffer_slots >= 0, "buffer slots must be non-negative");
     const int n = circuit.numQubits();
     const int traps = topo.trapCount();
-    fatalUnless(n <= topo.totalCapacity(),
-                "application does not fit on the device: " +
-                std::to_string(n) + " qubits > capacity " +
-                std::to_string(topo.totalCapacity()));
+    if (n > topo.totalCapacity()) [[unlikely]]
+        raiseConfigError("application does not fit on the device: " +
+                         std::to_string(n) + " qubits > capacity " +
+                         std::to_string(topo.totalCapacity()));
 
     // Shrink the buffer until the program fits with it applied uniformly.
     int buffer = buffer_slots;

@@ -36,8 +36,6 @@ PrimitiveEmitter::PrimitiveEmitter(DeviceState &state,
       zeroComm_(zero_comm_times), log_(model_log),
       qubitReady_(state.numIons(), 0)
 {
-    if (log_ != nullptr)
-        log_->setMaxChain(tables_->maxChain());
 }
 
 void

@@ -93,9 +93,9 @@ SweepEngine::run(const std::vector<SweepJob> &batch,
     std::vector<std::exception_ptr> errors(batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
         const SweepJob &job = batch[i];
-        fatalUnless(job.native != nullptr,
-                    "sweep job '" + job.application +
-                        "' has no lowered circuit");
+        if (job.native == nullptr) [[unlikely]]
+            raiseConfigError("sweep job '" + job.application +
+                             "' has no lowered circuit");
         points[i].application = job.application;
         points[i].design = job.design;
         try {

@@ -98,9 +98,9 @@ applyHardwareOverride(HardwareParams &params, const std::string &key,
             params.*entry.doubleField = value;
         } else {
             const int integral = static_cast<int>(value);
-            fatalUnless(static_cast<double>(integral) == value,
-                        "parameter '" + key +
-                            "' takes an integer value");
+            if (static_cast<double>(integral) != value) [[unlikely]]
+                raiseConfigError("parameter '" + key +
+                                 "' takes an integer value");
             params.*entry.intField = integral;
         }
         return;

@@ -63,8 +63,11 @@ expectIdenticalPoints(const std::vector<SweepPoint> &a,
     for (size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].application, b[i].application);
         EXPECT_EQ(a[i].design.label(), b[i].design.label());
-        expectIdenticalResults(a[i].result, b[i].result,
-                               a[i].design.label());
+        EXPECT_EQ(a[i].outcome, b[i].outcome) << a[i].design.label();
+        EXPECT_EQ(a[i].error, b[i].error) << a[i].design.label();
+        if (a[i].ok() && b[i].ok())
+            expectIdenticalResults(a[i].result, b[i].result,
+                                   a[i].design.label());
     }
 }
 
@@ -222,21 +225,30 @@ TEST(SweepEngineDeathTest, ResolveJobsRejectsMalformedEnv)
  * grids mix pure model-knob axes (replay candidates) with
  * schedule-affecting axes (gate implementation, capacity, reorder,
  * placement policy) so both the reuse and the invalidation edges are
- * exercised.
+ * exercised. A junction device makes the replay heat ions crossing
+ * junctions; a hostile knob set drives MS fidelity to <= 0 (the
+ * zeroFidelityOps count and the kMinFidelity clamp); recool factor 0
+ * lies outside (0, 1], so both paths must reject it identically,
+ * whether it falls on a group's full schedule or on a replay.
  */
 TEST(SweepEngine, StagedEvaluationMatchesScalarToolflowOnRandomGrids)
 {
     Rng rng(0x5eedc0de);
     const char *apps[] = {"qft", "qaoa", "bv", "adder"};
+    // Points that exercised each newly covered replay path.
+    long junction_points = 0;
+    long zero_fidelity_points = 0;
+    long rejected_points = 0;
 
     for (int trial = 0; trial < 30; ++trial) {
         const char *app = apps[rng.nextInt(0, 3)];
         const auto native =
             SweepEngine::lower(makeBenchmarkSized(app, 12));
 
-        const DesignPoint base = rng.nextBool()
-                                     ? DesignPoint::linear(4, 8)
-                                     : DesignPoint::linear(3, 10);
+        const int device = rng.nextInt(0, 2);
+        const DesignPoint base = device == 0   ? DesignPoint::linear(4, 8)
+                                 : device == 1 ? DesignPoint::linear(3, 10)
+                                               : DesignPoint::grid(2, 2, 8);
 
         std::vector<DesignPoint> designs{base};
         const auto expand = [&designs](int count, const auto &apply) {
@@ -253,7 +265,7 @@ TEST(SweepEngine, StagedEvaluationMatchesScalarToolflowOnRandomGrids)
         // One or two pure model-knob axes (the replay fast path)...
         const int model_axes = rng.nextInt(1, 2);
         for (int a = 0; a < model_axes; ++a) {
-            switch (rng.nextInt(0, 3)) {
+            switch (rng.nextInt(0, 4)) {
             case 0:
                 expand(rng.nextInt(2, 3), [](DesignPoint &d, int v) {
                     d.hw.gammaPerS = 1.0 + 0.75 * v;
@@ -271,10 +283,17 @@ TEST(SweepEngine, StagedEvaluationMatchesScalarToolflowOnRandomGrids)
                     d.hw.oneQubitError = 3e-5 * (1 + 2 * v);
                 });
                 break;
-            default:
-                expand(2, [](DesignPoint &d, int v) {
+            case 3:
+                expand(3, [](DesignPoint &d, int v) {
                     d.hw.measureError = 1e-3 * (1 + v);
-                    d.hw.recoolFactor = v == 0 ? 1.0 : 0.5;
+                    d.hw.recoolFactor = v == 0 ? 1.0 : v == 1 ? 0.5 : 0.0;
+                });
+                break;
+            default:
+                // Hostile models: many MS errors reach 1 (fidelity 0).
+                expand(2, [](DesignPoint &d, int v) {
+                    d.hw.kappa = v == 0 ? 5e-6 : 0.05;
+                    d.hw.gammaPerS = v == 0 ? 1.0 : 2000.0;
                 });
                 break;
             }
@@ -319,8 +338,8 @@ TEST(SweepEngine, StagedEvaluationMatchesScalarToolflowOnRandomGrids)
 
         SweepEngine serial(1);
         SweepEngine four(4);
-        const auto a = serial.run(jobs);
-        const auto b = four.run(jobs);
+        const auto a = serial.run(jobs, FailurePolicy::Isolate);
+        const auto b = four.run(jobs, FailurePolicy::Isolate);
         expectIdenticalPoints(a, b);
 
         // A sharded evaluation (two halves on fresh engines) must
@@ -330,29 +349,44 @@ TEST(SweepEngine, StagedEvaluationMatchesScalarToolflowOnRandomGrids)
         SweepEngine lo(2);
         SweepEngine hi(2);
         const auto first = lo.run(
-            {jobs.begin(), jobs.begin() + static_cast<long>(half)});
+            {jobs.begin(), jobs.begin() + static_cast<long>(half)},
+            FailurePolicy::Isolate);
         const auto second = hi.run(
-            {jobs.begin() + static_cast<long>(half), jobs.end()});
+            {jobs.begin() + static_cast<long>(half), jobs.end()},
+            FailurePolicy::Isolate);
         ASSERT_EQ(first.size() + second.size(), a.size());
-        for (size_t i = 0; i < a.size(); ++i) {
-            const SweepPoint &shard =
-                i < half ? first[i] : second[i - half];
-            expectIdenticalResults(a[i].result, shard.result,
-                                   "shard " + a[i].design.label());
-        }
+        std::vector<SweepPoint> shards = first;
+        shards.insert(shards.end(), second.begin(), second.end());
+        expectIdenticalPoints(a, shards);
 
         // Scalar reference: every point from scratch, no staging.
+        const bool replayed = serial.deltaStats().replays > 0;
         for (size_t i = 0; i < jobs.size(); ++i) {
-            const ToolflowContext context(jobs[i].design);
-            const RunResult scalar =
-                runToolflow(*jobs[i].native, jobs[i].design, context,
-                            jobs[i].options);
-            expectIdenticalResults(
-                a[i].result, scalar,
+            const std::string what =
                 "trial " + std::to_string(trial) + " point " +
-                    std::to_string(i) + " " + a[i].design.label());
+                std::to_string(i) + " " + a[i].design.label();
+            const ToolflowContext context(jobs[i].design);
+            RunResult scalar;
+            try {
+                scalar = runToolflow(*jobs[i].native, jobs[i].design,
+                                     context, jobs[i].options);
+            } catch (const ConfigError &err) {
+                EXPECT_EQ(a[i].outcome, PointOutcome::Infeasible) << what;
+                EXPECT_EQ(a[i].error, err.what()) << what;
+                ++rejected_points;
+                continue;
+            }
+            ASSERT_TRUE(a[i].ok()) << what << ": " << a[i].error;
+            expectIdenticalResults(a[i].result, scalar, what);
+            if (replayed && scalar.sim.counts.junctionCrossings > 0)
+                ++junction_points;
+            if (replayed && scalar.sim.zeroFidelityOps > 0)
+                ++zero_fidelity_points;
         }
     }
+    EXPECT_GT(junction_points, 0);
+    EXPECT_GT(zero_fidelity_points, 0);
+    EXPECT_GT(rejected_points, 0);
 }
 
 TEST(SweepEngine, ModelKnobOnlyAxesCollapseToOneScheduleKeyGroup)
