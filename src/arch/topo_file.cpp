@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/file_path.hpp"
 
 namespace qccd
 {
@@ -83,12 +84,7 @@ parsePositiveInt(const std::string &origin, const Token &token,
 std::string
 topoFileStem(const std::string &path)
 {
-    const size_t slash = path.find_last_of('/');
-    const size_t start = slash == std::string::npos ? 0 : slash + 1;
-    size_t end = path.find_last_of('.');
-    if (end == std::string::npos || end <= start)
-        end = path.size();
-    return path.substr(start, end - start);
+    return fileStem(path);
 }
 
 Topology

@@ -15,13 +15,12 @@
 #include "benchgen/benchgen.hpp"
 #include "circuit/qasm/parser.hpp"
 #include "common/error.hpp"
+#include "common/file_path.hpp"
 #include "common/json.hpp"
-#include "compiler/mapping.hpp"
 #include "core/design_point.hpp"
 #include "core/export.hpp"
 #include "core/result_store.hpp"
 #include "core/sweep_spec.hpp"
-#include "models/gate_time.hpp"
 #include "models/params.hpp"
 
 namespace qccd
@@ -34,81 +33,42 @@ void
 addDiag(LintReport &report, LintSeverity severity, std::string code,
         std::string origin, int line, int column, std::string message)
 {
-    LintDiagnostic diag;
-    diag.severity = severity;
-    diag.code = std::move(code);
-    diag.origin = std::move(origin);
-    diag.line = line;
-    diag.column = column;
-    diag.message = std::move(message);
-    report.diagnostics.push_back(std::move(diag));
-}
-
-void
-addAt(LintReport &report, LintSeverity severity, const char *code,
-      const std::string &origin, const JsonValue &value,
-      const std::string &message)
-{
-    addDiag(report, severity, code, origin, value.line, value.column,
-            message);
+    report.diagnostics.push_back({severity, std::move(code),
+                                  std::move(origin), line, column,
+                                  std::move(message)});
 }
 
 /**
- * Convert a positioned ConfigError ("origin:LINE:COL: msg" when it was
- * raised by the JSON/topo machinery for @p origin) into a diagnostic,
- * recovering the position when present.
+ * Convert a ConfigError raised by the JSON/topo machinery for
+ * @p origin into a diagnostic: "origin:LINE:COL: msg" keeps its
+ * position, "origin: msg" just loses the path prefix.
  */
 void
 addFromConfigError(LintReport &report, const char *code,
                    const std::string &origin, const std::string &what)
 {
-    int line = 0;
-    int column = 0;
-    std::string message = what;
     const std::string prefix = origin + ":";
+    std::string message = what;
     if (what.rfind(prefix, 0) == 0) {
-        const char *first = what.data() + prefix.size();
         const char *last = what.data() + what.size();
-        const auto [colon, lec] = std::from_chars(first, last, line);
+        int line = 0;
+        int column = 0;
+        const auto [colon, lec] =
+            std::from_chars(what.data() + prefix.size(), last, line);
         if (lec == std::errc() && colon < last && *colon == ':') {
             const auto [end, cec] =
                 std::from_chars(colon + 1, last, column);
-            if (cec == std::errc() && end + 2 <= last && end[0] == ':' &&
+            if (cec == std::errc() && last - end >= 2 && end[0] == ':' &&
                 end[1] == ' ') {
-                message.assign(end + 2, last);
-            } else {
-                line = 0;
-                column = 0;
-                // "origin: msg" (no position): strip just the path.
-                if (what.size() > prefix.size() + 1 &&
-                    what[prefix.size()] == ' ')
-                    message = what.substr(prefix.size() + 1);
+                addDiag(report, LintSeverity::Error, code, origin, line,
+                        column, std::string(end + 2, last));
+                return;
             }
-        } else {
-            line = 0;
-            column = 0;
-            if (what.size() > prefix.size() + 1 &&
-                what[prefix.size()] == ' ')
-                message = what.substr(prefix.size() + 1);
         }
+        if (what.size() > prefix.size() + 1 && what[prefix.size()] == ' ')
+            message = what.substr(prefix.size() + 1);
     }
-    addDiag(report, LintSeverity::Error, code, origin, line, column,
-            message);
-}
-
-std::string
-resolveRelative(const std::string &path, const std::string &base_dir)
-{
-    if (path.empty() || path[0] == '/' || base_dir.empty())
-        return path;
-    return base_dir + "/" + path;
-}
-
-bool
-isRegularFile(const std::string &path)
-{
-    std::error_code ec;
-    return std::filesystem::is_regular_file(path, ec) && !ec;
+    addDiag(report, LintSeverity::Error, code, origin, 0, 0, message);
 }
 
 /** Count of comma-separated fields in @p header. */
@@ -121,240 +81,44 @@ fieldCount(const std::string &line)
 }
 
 /**
- * The static sweep-spec walker: reports every schema finding with its
- * document position instead of stopping at the first, then runs the
- * fit analysis over the grid's app x device cross-product.
+ * The lint-only half of `.sweep` checking, run over the grid sites the
+ * shared schema walker hands back: repeated axis values, `qasm:`/`topo:`
+ * files that do not exist, and the fit of every application on every
+ * swept device. None of this is schema — it needs the filesystem or a
+ * built device — so the parser leaves it to run time.
  */
-class SweepLinter
+class SweepSiteLinter
 {
   public:
-    SweepLinter(const std::string &origin, const std::string &base_dir,
-                LintReport &report)
-        : origin_(origin), baseDir_(base_dir), report_(report)
+    SweepSiteLinter(const std::string &origin, LintReport &report)
+        : origin_(origin), report_(report)
     {
     }
 
-    void walk(const JsonValue &root, SweepLintSummary *summary)
+    void lintGrid(const SweepGridSites &grid)
     {
-        if (root.kind != JsonValue::Kind::Object) {
-            error("bad-kind", root,
-                  "spec document must be an object, got " +
-                      jsonKindName(root.kind));
-            return;
-        }
-        const JsonValue *sweeps = nullptr;
-        for (const auto &[key, value] : root.members) {
-            if (key == "name") {
-                checkName(value, summary);
-            } else if (key == "description") {
-                expectKind(value, JsonValue::Kind::String,
-                           "\"description\"");
-            } else if (key == "search") {
-                walkSearch(value);
-            } else if (key == "sweeps") {
-                if (expectKind(value, JsonValue::Kind::Array,
-                               "\"sweeps\""))
-                    sweeps = &value;
-            } else {
-                error("unknown-key", value,
-                      "unknown spec key \"" + key +
-                          "\" (known: name, description, search, "
-                          "sweeps)");
-            }
-        }
-        if (root.find("name") == nullptr)
-            error("missing-name", root, "spec is missing \"name\"");
-        if (sweeps == nullptr || sweeps->items.empty()) {
-            if (root.find("sweeps") == nullptr || sweeps != nullptr)
-                error("missing-sweeps", root,
-                      "spec needs a non-empty \"sweeps\" array");
-            return;
-        }
-        for (const JsonValue &grid : sweeps->items)
-            walkGrid(grid);
+        for (const auto &[key, values] : grid.axes)
+            checkDuplicates(key, values->items);
+        checkFit(existing(grid.apps, "qasm:"),
+                 existing(grid.topologies, "topo:"), grid.capacities,
+                 grid.buffers);
     }
 
   private:
-    // -- diagnostics --------------------------------------------------
-    void error(const char *code, const JsonValue &value,
-               const std::string &msg)
+    void add(LintSeverity severity, const char *code, const JsonValue &at,
+             const std::string &message)
     {
-        addAt(report_, LintSeverity::Error, code, origin_, value, msg);
+        addDiag(report_, severity, code, origin_, at.line, at.column,
+                message);
     }
 
-    void warning(const char *code, const JsonValue &value,
-                 const std::string &msg)
+    void checkDuplicates(const std::string &key,
+                         const std::vector<JsonValue> &items)
     {
-        addAt(report_, LintSeverity::Warning, code, origin_, value, msg);
-    }
-
-    bool expectKind(const JsonValue &value, JsonValue::Kind kind,
-                    const std::string &what)
-    {
-        if (value.kind == kind)
-            return true;
-        error("bad-kind", value,
-              what + " must be a " + jsonKindName(kind) + ", got " +
-                  jsonKindName(value.kind));
-        return false;
-    }
-
-    std::optional<int> intOf(const JsonValue &value,
-                             const std::string &what)
-    {
-        if (!expectKind(value, JsonValue::Kind::Number, what))
-            return std::nullopt;
-        const int integral = static_cast<int>(value.number);
-        if (static_cast<double>(integral) != value.number) {
-            error("bad-kind", value, what + " must be an integer");
-            return std::nullopt;
-        }
-        return integral;
-    }
-
-    void checkName(const JsonValue &value, SweepLintSummary *summary)
-    {
-        if (!expectKind(value, JsonValue::Kind::String, "\"name\""))
-            return;
-        if (summary != nullptr)
-            summary->name = value.text;
-        if (value.text.empty()) {
-            error("bad-name", value, "\"name\" must not be empty");
-            return;
-        }
-        for (const char c : value.text) {
-            const bool ok =
-                std::isalnum(static_cast<unsigned char>(c)) != 0 ||
-                c == '_' || c == '-' || c == '.';
-            if (!ok) {
-                error("bad-name", value,
-                      "\"name\" may only contain letters, digits, "
-                      "'_', '-' and '.'");
-                return;
-            }
-        }
-    }
-
-    /** The "search" options block: same schema the parser enforces
-     *  (sweep_spec.cpp parseSearch), but error-accumulating so one
-     *  pass reports every defect with its position. */
-    void walkSearch(const JsonValue &value)
-    {
-        if (!expectKind(value, JsonValue::Kind::Object, "\"search\""))
-            return;
-        for (const auto &[key, v] : value.members) {
-            if (key == "budget") {
-                const std::optional<int> budget =
-                    intOf(v, "\"budget\"");
-                if (budget && *budget < 1)
-                    error("bad-search", v,
-                          "\"budget\" must be at least 1");
-            } else if (key == "eta") {
-                const std::optional<int> eta = intOf(v, "\"eta\"");
-                if (eta && *eta < 2)
-                    error("bad-search", v,
-                          "\"eta\" must be at least 2");
-            } else if (key == "seed") {
-                if (!expectKind(v, JsonValue::Kind::Number,
-                                "\"seed\""))
-                    continue;
-                const auto seed = static_cast<uint64_t>(v.number);
-                if (static_cast<double>(seed) != v.number ||
-                    v.number < 0)
-                    error("bad-search", v,
-                          "\"seed\" must be a non-negative integer");
-            } else {
-                error("unknown-key", v,
-                      "unknown search key \"" + key +
-                          "\" (known: budget, eta, seed)");
-            }
-        }
-    }
-
-    // -- grid walk ----------------------------------------------------
-
-    /** One value of the fit-relevant axes, with its position. */
-    struct Sited
-    {
-        std::string text;
-        int number = 0;
-        const JsonValue *value = nullptr;
-    };
-
-    struct GridFacts
-    {
-        std::vector<Sited> apps;       // text = application label
-        std::vector<Sited> topologies; // text = resolved topology spec
-        std::vector<Sited> capacities; // number = trap capacity
-        std::vector<int> buffers;      // swept buffer slot values
-    };
-
-    void walkGrid(const JsonValue &grid)
-    {
-        if (grid.kind != JsonValue::Kind::Object) {
-            error("bad-kind", grid,
-                  "sweep grid must be an object, got " +
-                      jsonKindName(grid.kind));
-            return;
-        }
-        GridFacts facts;
-        size_t points = 1;
-        bool countable = true;
-        for (const auto &[key, value] : grid.members) {
-            if (key == "options") {
-                checkOptions(value);
-                continue;
-            }
-            const auto &axes = sweepAxisKeys();
-            if (std::find(axes.begin(), axes.end(), key) == axes.end()) {
-                std::string list;
-                for (const std::string &axis_key : axes)
-                    list += axis_key + ", ";
-                error("unknown-key", value,
-                      "unknown grid key \"" + key + "\" (known: " +
-                          list + "options)");
-                continue;
-            }
-            // "params" takes an object per value, so a bare object is
-            // a scalar there, not an axis.
-            if (value.kind == JsonValue::Kind::Array) {
-                if (value.items.empty()) {
-                    error("empty-axis", value,
-                          "axis \"" + key +
-                              "\" is unreachable: an empty array "
-                              "makes the whole cross-product empty");
-                    countable = false;
-                    continue;
-                }
-                checkDuplicates(key, value);
-                for (const JsonValue &item : value.items)
-                    checkAxisValue(key, item, facts);
-                if (points > kMaxSweepPoints / value.items.size()) {
-                    error("grid-too-large", value,
-                          "grid expands past the " +
-                              std::to_string(kMaxSweepPoints) +
-                              "-point cap");
-                    countable = false;
-                } else {
-                    points *= value.items.size();
-                }
-            } else {
-                checkAxisValue(key, value, facts);
-            }
-        }
-        if (grid.find("apps") == nullptr)
-            error("missing-apps", grid,
-                  "sweep grid is missing \"apps\"");
-        static_cast<void>(countable);
-        checkFit(facts);
-    }
-
-    void checkDuplicates(const std::string &key, const JsonValue &axis)
-    {
-        for (size_t i = 0; i < axis.items.size(); ++i) {
-            for (size_t j = i + 1; j < axis.items.size(); ++j) {
-                const JsonValue &a = axis.items[i];
-                const JsonValue &b = axis.items[j];
+        for (size_t i = 0; i < items.size(); ++i) {
+            for (size_t j = i + 1; j < items.size(); ++j) {
+                const JsonValue &a = items[i];
+                const JsonValue &b = items[j];
                 if (a.kind != b.kind ||
                     a.kind == JsonValue::Kind::Object)
                     continue;
@@ -365,213 +129,47 @@ class SweepLinter
                                ? a.text == b.text
                                : a.boolean == b.boolean);
                 if (same) {
-                    warning("duplicate-axis-value", b,
-                            "axis \"" + key +
-                                "\" repeats a value; the duplicate "
-                                "rows carry no information");
+                    add(LintSeverity::Warning, "duplicate-axis-value", b,
+                        "axis \"" + key +
+                            "\" repeats a value; the duplicate rows "
+                            "carry no information");
                     break;
                 }
             }
         }
     }
 
-    void checkAxisValue(const std::string &key, const JsonValue &value,
-                        GridFacts &facts)
+    /** The sites whose file (if any) exists; the rest are reported. */
+    std::vector<const SweepSite *>
+    existing(const std::vector<SweepSite> &sites, const char *prefix)
     {
-        if (key == "apps") {
-            checkApp(value, facts);
-        } else if (key == "topology") {
-            checkTopology(value, facts);
-        } else if (key == "capacity") {
-            if (const auto capacity = intOf(value, "\"capacity\"")) {
-                if (*capacity < 2)
-                    error("bad-capacity", value,
-                          "trap capacity must be at least 2, got " +
-                              std::to_string(*capacity));
-                else
-                    facts.capacities.push_back(
-                        {"", *capacity, &value});
-            }
-        } else if (key == "gate") {
-            checkLookup(value, "\"gate\"", "unknown-gate", [&] {
-                gateImplFromName(value.text);
-            });
-        } else if (key == "reorder") {
-            checkLookup(value, "\"reorder\"", "unknown-reorder", [&] {
-                reorderMethodFromName(value.text);
-            });
-        } else if (key == "policy") {
-            checkLookup(value, "\"policy\"", "unknown-policy", [&] {
-                mappingPolicyFromName(value.text);
-            });
-        } else if (key == "buffer") {
-            if (const auto buffer = intOf(value, "\"buffer\"")) {
-                if (*buffer < 0)
-                    error("bad-buffer", value,
-                          "buffer slots must be non-negative, got " +
-                              std::to_string(*buffer));
-                else
-                    facts.buffers.push_back(*buffer);
-            }
-        } else if (key == "params") {
-            checkParams(value);
+        std::vector<const SweepSite *> kept;
+        for (const SweepSite &site : sites) {
+            std::error_code ec;
+            if (!site.path.empty() &&
+                !std::filesystem::is_regular_file(site.path, ec))
+                add(LintSeverity::Error, "missing-file", *site.at,
+                    "\"" + std::string(prefix) +
+                        "\" path does not resolve: '" + site.path + "'");
+            else
+                kept.push_back(&site);
         }
+        return kept;
     }
 
-    template <typename Fn>
-    void checkLookup(const JsonValue &value, const std::string &what,
-                     const char *code, Fn &&lookup)
-    {
-        if (!expectKind(value, JsonValue::Kind::String, what))
-            return;
-        try {
-            lookup();
-        } catch (const ConfigError &err) {
-            error(code, value, err.what());
-        }
-    }
-
-    void checkApp(const JsonValue &value, GridFacts &facts)
-    {
-        if (!expectKind(value, JsonValue::Kind::String, "application"))
-            return;
-        const std::string qasm_prefix = "qasm:";
-        if (value.text.rfind(qasm_prefix, 0) == 0) {
-            const std::string rel =
-                value.text.substr(qasm_prefix.size());
-            if (rel.empty()) {
-                error("missing-file", value,
-                      "empty path after \"qasm:\"");
-                return;
-            }
-            const std::string path = resolveRelative(rel, baseDir_);
-            if (!isRegularFile(path)) {
-                error("missing-file", value,
-                      "\"qasm:\" path does not resolve: '" + path +
-                          "'");
-                return;
-            }
-            facts.apps.push_back({value.text, 0, &value});
-            return;
-        }
-        bool known = false;
-        for (const BenchmarkSpec &bench : benchmarkList())
-            known = known || bench.name == value.text;
-        if (!known) {
-            error("unknown-app", value,
-                  "unknown application '" + value.text +
-                      "' (see qccd_explore --list, or use "
-                      "\"qasm:FILE\")");
-            return;
-        }
-        facts.apps.push_back({value.text, 0, &value});
-    }
-
-    void checkTopology(const JsonValue &value, GridFacts &facts)
-    {
-        if (!expectKind(value, JsonValue::Kind::String, "\"topology\""))
-            return;
-        const std::string topo_prefix = "topo:";
-        if (value.text.rfind(topo_prefix, 0) == 0) {
-            const std::string rel =
-                value.text.substr(topo_prefix.size());
-            if (rel.empty()) {
-                error("missing-file", value,
-                      "empty path after \"topo:\"");
-                return;
-            }
-            const std::string path = resolveRelative(rel, baseDir_);
-            if (!isRegularFile(path)) {
-                error("missing-file", value,
-                      "\"topo:\" path does not resolve: '" + path +
-                          "'");
-                return;
-            }
-            facts.topologies.push_back(
-                {topo_prefix + path, 0, &value});
-            return;
-        }
-        try {
-            validateTopologySpec(value.text);
-        } catch (const ConfigError &err) {
-            error("bad-topology", value, err.what());
-            return;
-        }
-        facts.topologies.push_back({value.text, 0, &value});
-    }
-
-    void checkParams(const JsonValue &value)
-    {
-        if (value.kind != JsonValue::Kind::Object) {
-            error("bad-kind", value,
-                  "\"params\" must be an object (or an array of "
-                  "objects), got " + jsonKindName(value.kind));
-            return;
-        }
-        const std::vector<std::string> known = hardwareOverrideKeys();
-        for (const auto &[param, pv] : value.members) {
-            if (std::find(known.begin(), known.end(), param) ==
-                known.end()) {
-                error("unknown-param", pv,
-                      "unknown model parameter \"" + param +
-                          "\" (see hardwareOverrideKeys)");
-                continue;
-            }
-            expectKind(pv, JsonValue::Kind::Number,
-                       "parameter \"" + param + "\"");
-        }
-    }
-
-    void checkOptions(const JsonValue &value)
-    {
-        if (!expectKind(value, JsonValue::Kind::Object, "\"options\""))
-            return;
-        for (const auto &[key, v] : value.members) {
-            if (key == "decompose_runtime") {
-                expectKind(v, JsonValue::Kind::Bool,
-                           "\"decompose_runtime\"");
-            } else if (key == "point_timeout_ms") {
-                if (expectKind(v, JsonValue::Kind::Number,
-                               "\"point_timeout_ms\"") &&
-                    v.number < 1)
-                    error("bad-option", v,
-                          "\"point_timeout_ms\" must be at least 1");
-            } else if (key == "cache") {
-                if (expectKind(v, JsonValue::Kind::String,
-                               "\"cache\"") &&
-                    v.text.empty())
-                    error("bad-option", v,
-                          "\"cache\" must not be empty");
-            } else {
-                error("unknown-option", v,
-                      "unknown option \"" + key +
-                          "\" (known: cache, decompose_runtime, "
-                          "point_timeout_ms)");
-            }
-        }
-    }
-
-    // -- capacity/trap fit analysis ----------------------------------
-
-    /** Qubit count of @p app ("qasm:" or builtin); nullopt after a
-     *  diagnostic (bad QASM) or for apps already reported unknown. */
-    std::optional<int> appQubits(const Sited &app)
+    /** Qubit count of @p app; nullopt after a [bad-qasm] finding. */
+    std::optional<int> appQubits(const SweepSite &app)
     {
         const auto cached = qubitCache_.find(app.text);
         if (cached != qubitCache_.end())
             return cached->second;
         std::optional<int> qubits;
-        const std::string qasm_prefix = "qasm:";
         try {
-            if (app.text.rfind(qasm_prefix, 0) == 0) {
-                const std::string path = resolveRelative(
-                    app.text.substr(qasm_prefix.size()), baseDir_);
-                qubits = qasm::parseFile(path).numQubits();
-            } else {
-                qubits = makeBenchmark(app.text).numQubits();
-            }
+            qubits = app.path.empty()
+                         ? makeBenchmark(app.text).numQubits()
+                         : qasm::parseFile(app.path).numQubits();
         } catch (const QccdError &err) {
-            error("bad-qasm", *app.value, err.what());
+            add(LintSeverity::Error, "bad-qasm", *app.at, err.what());
         }
         qubitCache_.emplace(app.text, qubits);
         return qubits;
@@ -584,7 +182,7 @@ class SweepLinter
         int traps = 0;
     };
 
-    std::optional<DeviceExtent> deviceExtent(const Sited &topo,
+    std::optional<DeviceExtent> deviceExtent(const SweepSite &topo,
                                              int capacity)
     {
         const auto key = std::make_pair(topo.text, capacity);
@@ -592,79 +190,68 @@ class SweepLinter
         if (cached != extentCache_.end())
             return cached->second;
         std::optional<DeviceExtent> extent;
-        const std::string topo_prefix = "topo:";
         try {
             const Topology built =
-                topo.text.rfind(topo_prefix, 0) == 0
-                    ? loadTopoFile(
-                          topo.text.substr(topo_prefix.size()),
-                          capacity)
-                    : makeFromSpec(topo.text, capacity);
+                topo.path.empty() ? makeFromSpec(topo.text, capacity)
+                                  : loadTopoFile(topo.path, capacity);
             extent = DeviceExtent{built.totalCapacity(),
                                   built.trapCount()};
         } catch (const QccdError &err) {
             // Reached only for devices whose syntax checked out but
             // whose construction fails (e.g. a broken `.topo` file).
             if (reportedDevices_.insert(topo.text).second)
-                error("bad-topology", *topo.value, err.what());
+                add(LintSeverity::Error, "bad-topology", *topo.at,
+                    err.what());
         }
         extentCache_.emplace(key, extent);
         return extent;
     }
 
-    void checkFit(GridFacts &facts)
+    void checkFit(const std::vector<const SweepSite *> &apps,
+                  const std::vector<const SweepSite *> &topologies,
+                  std::vector<int> capacities,
+                  const std::vector<int> &buffers)
     {
-        if (facts.apps.empty() || facts.topologies.empty())
+        if (apps.empty() || topologies.empty())
             return;
-        if (facts.capacities.empty()) {
-            // DesignPoint's default capacity applies grid-wide.
-            facts.capacities.push_back(
-                {"", DesignPoint{}.trapCapacity,
-                 facts.topologies.front().value});
-        }
+        if (capacities.empty()) // DesignPoint's default, grid-wide
+            capacities.push_back(DesignPoint{}.trapCapacity);
         const int buffer =
-            facts.buffers.empty()
+            buffers.empty()
                 ? HardwareParams{}.bufferSlots
-                : *std::min_element(facts.buffers.begin(),
-                                    facts.buffers.end());
-        for (const Sited &topo : facts.topologies) {
-            for (const Sited &capacity : facts.capacities) {
-                const auto extent =
-                    deviceExtent(topo, capacity.number);
+                : *std::min_element(buffers.begin(), buffers.end());
+        for (const SweepSite *topo : topologies) {
+            for (const int capacity : capacities) {
+                const auto extent = deviceExtent(*topo, capacity);
                 if (!extent)
                     continue;
-                for (const Sited &app : facts.apps) {
-                    const auto qubits = appQubits(app);
+                for (const SweepSite *app : apps) {
+                    const auto qubits = appQubits(*app);
                     if (!qubits)
                         continue;
+                    const std::string what =
+                        "application '" + app->text + "' (" +
+                        std::to_string(*qubits) + " qubits) ";
                     const std::string device =
-                        "'" + topo.text + "' at capacity " +
-                        std::to_string(capacity.number) +
-                        " (total capacity " +
+                        "device '" + topo->text + "' at capacity " +
+                        std::to_string(capacity) + " (total capacity " +
                         std::to_string(extent->totalCapacity) + ")";
-                    if (*qubits > extent->totalCapacity) {
-                        error("app-does-not-fit", *app.value,
-                              "application '" + app.text + "' (" +
-                                  std::to_string(*qubits) +
-                                  " qubits) cannot fit device " +
-                                  device);
-                    } else if (*qubits > extent->totalCapacity -
-                                             buffer * extent->traps) {
-                        warning("tight-fit", *app.value,
-                                "application '" + app.text + "' (" +
-                                    std::to_string(*qubits) +
-                                    " qubits) only fits device " +
-                                    device + " by shrinking the " +
-                                    std::to_string(buffer) +
-                                    " buffer slots per trap");
-                    }
+                    if (*qubits > extent->totalCapacity)
+                        add(LintSeverity::Error, "app-does-not-fit",
+                            *app->at, what + "cannot fit " + device);
+                    else if (*qubits > extent->totalCapacity -
+                                           buffer * extent->traps)
+                        add(LintSeverity::Warning, "tight-fit", *app->at,
+                            what + "only fits " + device +
+                                " by shrinking the " +
+                                std::to_string(buffer) +
+                                " buffer slots per trap");
                 }
             }
         }
     }
 
     const std::string &origin_;
-    const std::string &baseDir_;
     LintReport &report_;
 
     std::map<std::string, std::optional<int>> qubitCache_;
@@ -728,23 +315,19 @@ lintSweepText(const std::string &text, const std::string &origin,
     try {
         JsonParser parser(text, origin);
         const JsonValue root = parser.parseDocument();
-        SweepLinter(origin, base_dir, report).walk(root, summary);
-    } catch (const ConfigError &err) {
-        addFromConfigError(report, "parse", origin, err.what());
-    } catch (const std::exception &err) {
-        addDiag(report, LintSeverity::Error, "internal", origin, 0, 0,
-                std::string("linter failure: ") + err.what());
-    }
-    if (summary == nullptr || report.errorCount() != before)
-        return;
-    // The walk was clean, so the real parser must accept the spec; its
-    // expansion gives the point count the covering golden must match.
-    // Any residual rejection is itself a finding (the linter's schema
-    // walk missed something the parser enforces).
-    try {
-        summary->points =
-            parseSweepSpec(text, origin, base_dir).points.size();
-        summary->expanded = true;
+        const SweepSchemaWalk walk =
+            walkSweepSchema(root, origin, base_dir);
+        report.diagnostics.insert(report.diagnostics.end(),
+                                  walk.findings.begin(),
+                                  walk.findings.end());
+        SweepSiteLinter linter(origin, report);
+        for (const SweepGridSites &grid : walk.grids)
+            linter.lintGrid(grid);
+        if (summary != nullptr && report.errorCount() == before) {
+            summary->name = walk.plan.name;
+            summary->points = walk.plan.size();
+            summary->expanded = true;
+        }
     } catch (const ConfigError &err) {
         addFromConfigError(report, "parse", origin, err.what());
     } catch (const std::exception &err) {
@@ -954,22 +537,28 @@ slurp(const std::string &path, LintReport &report)
     return text.str();
 }
 
-std::string
-dirnameOf(const std::string &path)
+enum class ArtifactKind
 {
-    const size_t slash = path.find_last_of('/');
-    return slash == std::string::npos ? "." : path.substr(0, slash);
-}
+    Sweep,
+    Topo,
+    Csv,
+    Cache,
+    None
+};
 
-std::string
-stemOf(const std::string &path)
+/** What @p path lints as, by extension. */
+ArtifactKind
+artifactKind(const std::string &path)
 {
-    const size_t slash = path.find_last_of('/');
-    const size_t start = slash == std::string::npos ? 0 : slash + 1;
-    size_t end = path.find_last_of('.');
-    if (end == std::string::npos || end <= start)
-        end = path.size();
-    return path.substr(start, end - start);
+    static const std::string kExtensions[] = {".sweep", ".topo", ".csv",
+                                              ".qcache"};
+    for (int kind = 0; kind < 4; ++kind) {
+        const std::string &ext = kExtensions[kind];
+        if (path.size() >= ext.size() &&
+            path.compare(path.size() - ext.size(), ext.size(), ext) == 0)
+            return static_cast<ArtifactKind>(kind);
+    }
+    return ArtifactKind::None;
 }
 
 } // namespace
@@ -978,24 +567,12 @@ LintReport
 lintArtifacts(const std::vector<std::string> &paths)
 {
     LintReport report;
-    std::vector<std::string> sweeps;
-    std::vector<std::string> topos;
-    std::vector<std::string> csvs;
-    std::vector<std::string> caches;
+    std::map<ArtifactKind, std::vector<std::string>> files;
 
     const auto classify = [&](const std::string &path) {
-        if (path.size() >= 6 &&
-            path.compare(path.size() - 6, 6, ".sweep") == 0)
-            sweeps.push_back(path);
-        else if (path.size() >= 5 &&
-                 path.compare(path.size() - 5, 5, ".topo") == 0)
-            topos.push_back(path);
-        else if (path.size() >= 4 &&
-                 path.compare(path.size() - 4, 4, ".csv") == 0)
-            csvs.push_back(path);
-        else if (path.size() >= 7 &&
-                 path.compare(path.size() - 7, 7, ".qcache") == 0)
-            caches.push_back(path);
+        const ArtifactKind kind = artifactKind(path);
+        if (kind != ArtifactKind::None)
+            files[kind].push_back(path);
         else
             addDiag(report, LintSeverity::Warning, "skipped", path, 0,
                     0,
@@ -1019,16 +596,9 @@ lintArtifacts(const std::vector<std::string> &paths)
                               skip_permission_denied, ec)) {
                 if (!entry.is_regular_file(ec))
                     continue;
-                const std::string path = entry.path().string();
-                if ((path.size() >= 6 &&
-                     path.compare(path.size() - 6, 6, ".sweep") == 0) ||
-                    (path.size() >= 5 &&
-                     path.compare(path.size() - 5, 5, ".topo") == 0) ||
-                    (path.size() >= 4 &&
-                     path.compare(path.size() - 4, 4, ".csv") == 0) ||
-                    (path.size() >= 7 &&
-                     path.compare(path.size() - 7, 7, ".qcache") == 0))
-                    found.push_back(path);
+                std::string path = entry.path().string();
+                if (artifactKind(path) != ArtifactKind::None)
+                    found.push_back(std::move(path));
             }
             // Deterministic order regardless of directory enumeration.
             std::sort(found.begin(), found.end());
@@ -1040,24 +610,24 @@ lintArtifacts(const std::vector<std::string> &paths)
     }
 
     std::vector<SweepLintSummary> summaries;
-    for (const std::string &path : sweeps) {
+    for (const std::string &path : files[ArtifactKind::Sweep]) {
         if (const auto text = slurp(path, report)) {
             SweepLintSummary summary;
-            lintSweepText(*text, path, dirnameOf(path), report,
+            lintSweepText(*text, path, parentDir(path), report,
                           &summary);
             summaries.push_back(std::move(summary));
         }
     }
-    for (const std::string &path : topos)
+    for (const std::string &path : files[ArtifactKind::Topo])
         if (const auto text = slurp(path, report))
             lintTopoText(*text, path, report);
 
-    for (const std::string &path : caches)
+    for (const std::string &path : files[ArtifactKind::Cache])
         if (const auto text = slurp(path, report))
             lintCacheBytes(*text, path, report);
 
     std::map<std::string, std::pair<std::string, size_t>> goldenRows;
-    for (const std::string &path : csvs) {
+    for (const std::string &path : files[ArtifactKind::Csv]) {
         if (const auto text = slurp(path, report)) {
             size_t rows = 0;
             lintGoldenText(*text, path, report, &rows);
@@ -1066,7 +636,7 @@ lintArtifacts(const std::vector<std::string> &paths)
             // they cover only the points the search really evaluated
             // — they are not goldens and must not trip the row-count
             // or orphan cross-checks.
-            const std::string stem = stemOf(path);
+            const std::string stem = fileStem(path);
             const bool searchReport =
                 stem.size() > 7 &&
                 stem.compare(stem.size() - 7, 7, ".search") == 0;

@@ -1,32 +1,33 @@
 /**
  * @file
  * `qccd_lint`: static validation of the explorer's file artifacts —
- * `.sweep` design-space specs, `.topo` device graphs, and the
- * committed `golden/` CSVs — without running the simulator.
- *
- * The sweep runner and topo loader already reject malformed input with
- * positioned ConfigErrors, but they stop at the first problem and some
- * contradictions (an application that cannot fit any swept device, a
- * golden CSV whose row count no longer matches its spec's expanded
- * grid) only surface points-deep into a run or as a CI golden diff.
- * The linter walks the artifacts purely statically, reports *every*
- * finding with `origin:line:col` diagnostics in one pass, and never
- * throws or crashes on arbitrary input — so `qccd_lint examples/
- * golden/` can gate CI cheaply before any simulation happens.
+ * `.sweep` design-space specs, `.topo` device graphs, `.qcache` result
+ * stores and the committed `golden/` CSVs — without running the
+ * simulator. Every finding comes in one pass as an `origin:line:col`
+ * diagnostic with a stable code, and the linter never throws or
+ * crashes on arbitrary input, so `qccd_lint examples/ golden/` can
+ * gate CI cheaply before any simulation happens.
  *
  * Checks (stable diagnostic codes in brackets):
- *  - `.sweep`: syntax [parse], unknown spec/grid/option/param keys
- *    [unknown-key, unknown-option, unknown-param], wrong value kinds
- *    [bad-kind], unreachable axes — empty cross-products [empty-axis],
- *    duplicate axis values [duplicate-axis-value, warning], unknown
- *    applications/gates/reorders/policies [unknown-app, unknown-gate,
- *    unknown-reorder, unknown-policy], bad topology specs
- *    [bad-topology], `qasm:`/`topo:` paths that do not resolve
- *    [missing-file], capacity bounds [bad-capacity, bad-buffer], grids
- *    beyond the expansion cap [grid-too-large], applications that
- *    cannot fit a swept device's total capacity [app-does-not-fit],
- *    and fits that only work by shrinking the buffer [tight-fit,
- *    warning].
+ *  - `.sweep` schema, reported by the walker parseSweepPlan() runs
+ *    (core/sweep_spec.hpp), so lint and parser reject the same specs
+ *    and the parser throws the first of these: syntax [parse], unknown
+ *    keys [unknown-key, unknown-option, unknown-param], missing ones
+ *    [missing-name, missing-sweeps, missing-apps], wrong value kinds
+ *    and non-integers [bad-kind], bad names, options and search
+ *    settings [bad-name, bad-option, bad-search], empty axes
+ *    [empty-axis], unknown applications/gates/reorders/policies
+ *    [unknown-app, unknown-gate, unknown-reorder, unknown-policy], bad
+ *    topology specs [bad-topology], empty `qasm:`/`topo:` paths
+ *    [missing-file], capacity and buffer bounds [bad-capacity,
+ *    bad-buffer], and the expansion cap [grid-too-large].
+ *  - `.sweep` analysis the parser leaves to run time: `qasm:`/`topo:`
+ *    files that do not exist [missing-file], QASM that does not parse
+ *    [bad-qasm], devices that fail to build [bad-topology],
+ *    applications that cannot fit a swept device's total capacity
+ *    [app-does-not-fit], fits that only work by shrinking the buffer
+ *    [tight-fit, warning], and repeated axis values
+ *    [duplicate-axis-value, warning].
  *  - `.topo`: the loader's full syntax and graph validation, reported
  *    as diagnostics instead of exceptions [topo-parse, topo-graph].
  *  - `.qcache` result stores (core/result_store.hpp): magic
@@ -41,7 +42,7 @@
  *  - cross-artifact (when specs and CSVs are linted together): specs
  *    with no covering golden [missing-golden], goldens no spec
  *    produces [golden-orphan, warning], and goldens whose data-row
- *    count differs from the spec's expanded point count [golden-rows].
+ *    count differs from the spec's point count [golden-rows].
  */
 
 #ifndef QCCD_CORE_LINT_HPP
@@ -102,9 +103,9 @@ struct LintReport
 };
 
 /**
- * What the sweep walk learned about a spec, for cross-artifact checks.
- * `points` is the statically expanded grid size (0 when the spec was
- * too broken to expand).
+ * What linting learned about a spec, for cross-artifact checks: set
+ * only for an error-free spec, whose `points` is its plan's size
+ * (counted per grid, nothing expanded).
  */
 struct SweepLintSummary
 {

@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 
@@ -12,6 +13,7 @@
 #include "benchgen/benchgen.hpp"
 #include "circuit/qasm/parser.hpp"
 #include "common/error.hpp"
+#include "common/file_path.hpp"
 #include "common/json.hpp"
 #include "compiler/mapping.hpp"
 #include "core/result_store.hpp"
@@ -23,45 +25,85 @@ namespace qccd
 namespace
 {
 
+/**
+ * Grid keys that take axis values. One table drives the schema
+ * walker's membership check, its unknown-key message and makeSetter's
+ * dispatch (which panics on anything not listed here), so the three
+ * cannot drift apart.
+ */
+const std::vector<std::string> &
+sweepAxisKeys()
+{
+    static const std::vector<std::string> keys = {
+        "apps",   "topology", "capacity", "gate",
+        "reorder", "buffer",  "policy",   "params"};
+    return keys;
+}
+
+/**
+ * The one `.sweep` schema walker. Every rule lives here, and every
+ * violation goes through fail() as (lint code, position, message).
+ * Parse mode throws the first violation through the JsonParser, so the
+ * success path builds no message; lint mode records each one in a
+ * SweepSchemaWalk and walks on past the bad value, also handing back
+ * the grid sites qccd_lint's file and fit checks need.
+ */
 class SpecBuilder
 {
   public:
+    /** Parse mode: the first finding throws, positioned. */
     SpecBuilder(const JsonParser &parser, const std::string &base_dir)
-        : parser_(parser), baseDir_(base_dir)
+        : parser_(&parser), baseDir_(base_dir)
+    {
+    }
+
+    /** Lint mode: every finding and grid site lands in @p walk. */
+    SpecBuilder(SweepSchemaWalk &walk, const std::string &origin,
+                const std::string &base_dir)
+        : walk_(&walk), origin_(origin), baseDir_(base_dir)
     {
     }
 
     SweepPlan build(const JsonValue &root)
     {
-        expect(root, JsonValue::Kind::Object, "spec document");
         SweepPlan plan;
+        if (!expect(root, JsonValue::Kind::Object, "spec document"))
+            return plan;
         const JsonValue *sweeps = nullptr;
+        bool named = false;
+        bool has_sweeps = false;
         for (const auto &[key, value] : root.members) {
             if (key == "name") {
-                expect(value, JsonValue::Kind::String, "\"name\"");
-                plan.name = value.text;
-                checkName(value);
+                named = true;
+                if (expect(value, JsonValue::Kind::String, "\"name\"")) {
+                    plan.name = value.text;
+                    checkName(value);
+                }
             } else if (key == "description") {
-                expect(value, JsonValue::Kind::String,
-                       "\"description\"");
-                plan.description = value.text;
+                if (expect(value, JsonValue::Kind::String,
+                           "\"description\""))
+                    plan.description = value.text;
             } else if (key == "search") {
                 parseSearch(value, plan.search);
             } else if (key == "sweeps") {
-                expect(value, JsonValue::Kind::Array, "\"sweeps\"");
-                sweeps = &value;
+                has_sweeps = true;
+                if (expect(value, JsonValue::Kind::Array, "\"sweeps\""))
+                    sweeps = &value;
             } else {
-                parser_.failAt(value,
-                               "unknown spec key \"" + key +
-                                   "\" (known: name, description, "
-                                   "search, sweeps)");
+                fail("unknown-key", value,
+                     "unknown spec key \"" + key +
+                         "\" (known: name, description, search, "
+                         "sweeps)");
             }
         }
-        if (plan.name.empty())
-            parser_.failAt(root, "spec is missing \"name\"");
-        if (sweeps == nullptr || sweeps->items.empty())
-            parser_.failAt(root,
-                           "spec needs a non-empty \"sweeps\" array");
+        if (!named)
+            fail("missing-name", root, "spec is missing \"name\"");
+        // A "sweeps" of the wrong kind was reported above.
+        if (sweeps == nullptr ? !has_sweeps : sweeps->items.empty())
+            fail("missing-sweeps", root,
+                 "spec needs a non-empty \"sweeps\" array");
+        if (sweeps == nullptr)
+            return plan;
         size_t total = 0;
         for (const JsonValue &grid : sweeps->items) {
             plan.grids.push_back(buildGrid(grid, total));
@@ -71,133 +113,206 @@ class SpecBuilder
     }
 
   private:
-    void expect(const JsonValue &value, JsonValue::Kind kind,
-                const std::string &what) const
+    /** Report a violation: throws in parse mode, records in lint mode
+     *  (the caller then skips the bad value). */
+    void fail(const char *code, const JsonValue &at,
+              const std::string &message)
     {
-        if (value.kind != kind)
-            parser_.failAt(value, what + " must be a " +
-                                      jsonKindName(kind) + ", got " +
-                                      jsonKindName(value.kind));
+        if (parser_ != nullptr)
+            parser_->failAt(at, message);
+        walk_->findings.push_back({LintSeverity::Error, code, origin_,
+                                   at.line, at.column, message});
+    }
+
+    void failKind(const JsonValue &value, JsonValue::Kind kind,
+                  const std::string &what)
+    {
+        fail("bad-kind", value,
+             what + " must be a " + jsonKindName(kind) + ", got " +
+                 jsonKindName(value.kind));
+    }
+
+    bool expect(const JsonValue &value, JsonValue::Kind kind,
+                const char *what)
+    {
+        if (value.kind == kind) [[likely]]
+            return true;
+        failKind(value, kind, what);
+        return false;
     }
 
     /** The spec name becomes an output file stem; keep it shell-safe. */
-    void checkName(const JsonValue &value) const
+    void checkName(const JsonValue &value)
     {
+        const auto safe = [](unsigned char c) {
+            return std::isalnum(c) != 0 || c == '_' || c == '-' || c == '.';
+        };
         if (value.text.empty())
-            parser_.failAt(value, "\"name\" must not be empty");
-        for (const char c : value.text) {
-            const bool ok =
-                std::isalnum(static_cast<unsigned char>(c)) ||
-                c == '_' || c == '-' || c == '.';
-            if (!ok)
-                parser_.failAt(value,
-                               "\"name\" may only contain letters, "
-                               "digits, '_', '-' and '.'");
-        }
+            fail("bad-name", value, "\"name\" must not be empty");
+        else if (!std::all_of(value.text.begin(), value.text.end(), safe))
+            fail("bad-name", value,
+                 "\"name\" may only contain letters, digits, '_', '-' "
+                 "and '.'");
     }
 
-    int intOf(const JsonValue &value, const std::string &what) const
+    std::optional<int> intOf(const JsonValue &value, const char *what)
     {
-        expect(value, JsonValue::Kind::Number, what);
-        const int integral = static_cast<int>(value.number);
-        if (static_cast<double>(integral) != value.number)
-            parser_.failAt(value, what + " must be an integer");
-        return integral;
+        if (!expect(value, JsonValue::Kind::Number, what))
+            return std::nullopt;
+        // Range first: casting an out-of-range double is undefined.
+        const double number = value.number;
+        if (number >= std::numeric_limits<int>::min() &&
+            number <= std::numeric_limits<int>::max() &&
+            static_cast<double>(static_cast<int>(number)) == number)
+            [[likely]]
+            return static_cast<int>(number);
+        fail("bad-kind", value, std::string(what) + " must be an integer");
+        return std::nullopt;
     }
 
-    /**
-     * Run a name-lookup helper (gate/reorder/policy names, parameter
-     * keys) whose ConfigErrors carry no document position, and re-raise
-     * them anchored at @p value. Errors thrown via failAt() elsewhere
-     * already carry their position and must not pass through this (the
-     * prefix would double up).
-     */
+    /** Run a lookup whose ConfigErrors carry no position, reporting
+     *  them at @p value (never wrap fail(): the prefix would double). */
     template <typename Fn>
-    auto lookupAt(const JsonValue &value, Fn &&fn) const
+    bool lookupAt(const char *code, const JsonValue &value, Fn &&fn)
     {
         try {
-            return fn();
+            fn();
+            return true;
         } catch (const ConfigError &err) {
-            parser_.failAt(value, err.what());
+            fail(code, value, err.what());
         }
+        return false;
+    }
+
+    /** intOf, then at least @p min (else a @p code finding). */
+    std::optional<int> intAtLeast(const JsonValue &value, const char *what,
+                                  int min, const char *code)
+    {
+        const std::optional<int> number = intOf(value, what);
+        if (!number || *number >= min)
+            return number;
+        fail(code, value,
+             std::string(what) + " must be at least " +
+                 std::to_string(min));
+        return std::nullopt;
+    }
+
+    /** An integer value of at least @p min, recorded in @p site. */
+    template <typename Apply>
+    SweepGrid::Setter intSetter(const JsonValue &value, const char *what,
+                                int min, const char *code,
+                                std::vector<int> SweepGridSites::*site,
+                                Apply apply)
+    {
+        const std::optional<int> number =
+            intAtLeast(value, what, min, code);
+        if (!number)
+            return {};
+        if (sites_ != nullptr)
+            (sites_->*site).push_back(*number);
+        return [n = *number, apply](PlannedPoint &point) {
+            apply(point, n);
+        };
+    }
+
+    /** A name resolved by @p lookup (unknown names report @p code). */
+    template <typename Lookup, typename Apply>
+    SweepGrid::Setter namedSetter(const JsonValue &value, const char *what,
+                                  const char *code, Lookup lookup,
+                                  Apply apply)
+    {
+        decltype(lookup(value.text)) named{};
+        if (!expect(value, JsonValue::Kind::String, what) ||
+            !lookupAt(code, value, [&] { named = lookup(value.text); }))
+            return {};
+        return [named, apply](PlannedPoint &point) {
+            apply(point, named);
+        };
     }
 
     /**
-     * Validate one axis value now (all schema and name errors carry
-     * the document position) and return a setter that applies it to a
-     * point later — the lazy-grid building block. Applying the
-     * returned setter is exactly what the eager expansion used to do
-     * in place.
+     * Validate one axis value now (every finding carries the document
+     * position) and return a setter that applies it to a point later —
+     * the lazy-grid building block. A rejected value (lint mode only)
+     * yields an empty setter.
      */
     SweepGrid::Setter makeSetter(const std::string &key,
-                                 const JsonValue &value) const
+                                 const JsonValue &value)
     {
-        if (key == "apps") {
-            expect(value, JsonValue::Kind::String, "application");
-            return makeApplicationSetter(value.text, value);
-        }
-        if (key == "topology") {
-            expect(value, JsonValue::Kind::String, "\"topology\"");
-            return makeTopologySetter(value.text, value);
-        }
-        if (key == "capacity") {
-            const int capacity = intOf(value, "\"capacity\"");
-            return [capacity](PlannedPoint &point) {
-                point.design.trapCapacity = capacity;
-            };
-        }
-        if (key == "gate") {
-            expect(value, JsonValue::Kind::String, "\"gate\"");
-            const GateImpl impl = lookupAt(
-                value, [&] { return gateImplFromName(value.text); });
-            return [impl](PlannedPoint &point) {
-                point.design.hw.gateImpl = impl;
-            };
-        }
-        if (key == "reorder") {
-            expect(value, JsonValue::Kind::String, "\"reorder\"");
-            const ReorderMethod reorder = lookupAt(value, [&] {
-                return reorderMethodFromName(value.text);
-            });
-            return [reorder](PlannedPoint &point) {
-                point.design.hw.reorder = reorder;
-            };
-        }
-        if (key == "buffer") {
-            const int buffer = intOf(value, "\"buffer\"");
-            return [buffer](PlannedPoint &point) {
-                point.design.hw.bufferSlots = buffer;
-            };
-        }
-        if (key == "policy") {
-            expect(value, JsonValue::Kind::String, "\"policy\"");
-            const MappingPolicy policy = lookupAt(value, [&] {
-                return mappingPolicyFromName(value.text);
-            });
-            return [policy](PlannedPoint &point) {
-                point.options.mappingPolicy = policy;
-            };
-        }
-        if (key == "params") {
-            expect(value, JsonValue::Kind::Object, "\"params\"");
-            std::vector<std::pair<std::string, double>> overrides;
-            HardwareParams scratch; // name check at parse time
-            for (const auto &[param, pv] : value.members) {
-                expect(pv, JsonValue::Kind::Number,
-                       "parameter \"" + param + "\"");
-                lookupAt(pv, [&] {
-                    applyHardwareOverride(scratch, param, pv.number);
+        if (key == "apps")
+            return makeApplicationSetter(value);
+        if (key == "topology")
+            return makeTopologySetter(value);
+        if (key == "capacity")
+            return intSetter(value, "\"capacity\"", 2, "bad-capacity",
+                             &SweepGridSites::capacities,
+                             [](PlannedPoint &point, int capacity) {
+                                 point.design.trapCapacity = capacity;
+                             });
+        if (key == "buffer")
+            return intSetter(value, "\"buffer\"", 0, "bad-buffer",
+                             &SweepGridSites::buffers,
+                             [](PlannedPoint &point, int buffer) {
+                                 point.design.hw.bufferSlots = buffer;
+                             });
+        if (key == "gate")
+            return namedSetter(value, "\"gate\"", "unknown-gate",
+                               gateImplFromName,
+                               [](PlannedPoint &point, GateImpl impl) {
+                                   point.design.hw.gateImpl = impl;
+                               });
+        if (key == "reorder")
+            return namedSetter(
+                value, "\"reorder\"", "unknown-reorder",
+                reorderMethodFromName,
+                [](PlannedPoint &point, ReorderMethod reorder) {
+                    point.design.hw.reorder = reorder;
                 });
-                overrides.emplace_back(param, pv.number);
-            }
-            return [overrides](PlannedPoint &point) {
-                for (const auto &[param, number] : overrides)
-                    applyHardwareOverride(point.design.hw, param,
-                                          number);
-            };
-        }
+        if (key == "policy")
+            return namedSetter(
+                value, "\"policy\"", "unknown-policy",
+                mappingPolicyFromName,
+                [](PlannedPoint &point, MappingPolicy policy) {
+                    point.options.mappingPolicy = policy;
+                });
+        if (key == "params")
+            return makeParamsSetter(value);
         panicUnless(false, "axis key missing from sweepAxisKeys");
         return {};
+    }
+
+    SweepGrid::Setter makeParamsSetter(const JsonValue &value)
+    {
+        if (!expect(value, JsonValue::Kind::Object, "\"params\""))
+            return {};
+        std::vector<std::pair<std::string, double>> overrides;
+        HardwareParams scratch; // name and integrality check now
+        for (const auto &[param, pv] : value.members) {
+            if (pv.kind != JsonValue::Kind::Number) {
+                failKind(pv, JsonValue::Kind::Number,
+                         "parameter \"" + param + "\"");
+                continue;
+            }
+            try {
+                applyHardwareOverride(scratch, param, pv.number);
+                overrides.emplace_back(param, pv.number);
+            } catch (const ConfigError &err) {
+                // A known key only fails on a non-integral value.
+                const std::vector<std::string> known =
+                    hardwareOverrideKeys();
+                fail(std::find(known.begin(), known.end(), param) ==
+                             known.end()
+                         ? "unknown-param"
+                         : "bad-kind",
+                     pv, err.what());
+            }
+        }
+        if (overrides.size() != value.members.size()) // lint mode
+            return {};
+        return [overrides = std::move(overrides)](PlannedPoint &point) {
+            for (const auto &[param, number] : overrides)
+                applyHardwareOverride(point.design.hw, param, number);
+        };
     }
 
     /**
@@ -206,43 +321,51 @@ class SpecBuilder
      * paths resolve relative to the spec file like "qasm:" paths do
      * (the file itself is read when the device is built).
      */
-    SweepGrid::Setter
-    makeTopologySetter(const std::string &text,
-                       const JsonValue &value) const
+    SweepGrid::Setter makeTopologySetter(const JsonValue &value)
     {
-        const std::string topo_prefix = "topo:";
-        std::string spec = text;
-        if (text.rfind(topo_prefix, 0) == 0) {
-            std::string path = text.substr(topo_prefix.size());
-            if (path.empty())
-                parser_.failAt(value, "empty path after \"topo:\"");
-            if (path[0] != '/' && !baseDir_.empty())
-                path = baseDir_ + "/" + path;
+        if (!expect(value, JsonValue::Kind::String, "\"topology\""))
+            return {};
+        static const std::string topo_prefix = "topo:";
+        std::string spec = value.text;
+        std::string path;
+        if (spec.rfind(topo_prefix, 0) == 0) {
+            if (spec.size() == topo_prefix.size()) {
+                fail("missing-file", value, "empty path after \"topo:\"");
+                return {};
+            }
+            path = resolveAgainst(spec.substr(topo_prefix.size()),
+                                  baseDir_);
             spec = topo_prefix + path;
-        } else {
-            lookupAt(value, [&] {
-                validateTopologySpec(text);
-                return 0;
-            });
+        } else if (!lookupAt("bad-topology", value, [&] {
+                       validateTopologySpec(value.text);
+                   })) {
+            return {};
         }
-        return [spec](PlannedPoint &point) {
+        if (sites_ != nullptr)
+            sites_->topologies.push_back({spec, path, &value});
+        return [spec = std::move(spec)](PlannedPoint &point) {
             point.design.topologySpec = spec;
         };
     }
 
-    SweepGrid::Setter
-    makeApplicationSetter(const std::string &text,
-                          const JsonValue &value) const
+    SweepGrid::Setter makeApplicationSetter(const JsonValue &value)
     {
-        const std::string qasm_prefix = "qasm:";
+        if (!expect(value, JsonValue::Kind::String, "application"))
+            return {};
+        static const std::string qasm_prefix = "qasm:";
+        const std::string &text = value.text;
         if (text.rfind(qasm_prefix, 0) == 0) {
-            std::string path = text.substr(qasm_prefix.size());
-            if (path.empty())
-                parser_.failAt(value, "empty path after \"qasm:\"");
-            if (path[0] != '/' && !baseDir_.empty())
-                path = baseDir_ + "/" + path;
-            std::string stem = stemOf(path);
-            return [path, stem](PlannedPoint &point) {
+            if (text.size() == qasm_prefix.size()) {
+                fail("missing-file", value, "empty path after \"qasm:\"");
+                return {};
+            }
+            std::string path =
+                resolveAgainst(text.substr(qasm_prefix.size()), baseDir_);
+            std::string stem = fileStem(path);
+            if (sites_ != nullptr)
+                sites_->apps.push_back({text, path, &value});
+            return [path = std::move(path),
+                    stem = std::move(stem)](PlannedPoint &point) {
                 point.qasmPath = path;
                 point.application = stem;
             };
@@ -252,95 +375,89 @@ class SpecBuilder
         bool known = false;
         for (const BenchmarkSpec &bench : benchmarkList())
             known = known || bench.name == text;
-        if (!known)
-            parser_.failAt(value, "unknown application '" + text +
-                                      "' (see qccd_explore --list, or "
-                                      "use \"qasm:FILE\")");
+        if (!known) {
+            fail("unknown-app", value,
+                 "unknown application '" + text +
+                     "' (see qccd_explore --list, or use \"qasm:FILE\")");
+            return {};
+        }
+        if (sites_ != nullptr)
+            sites_->apps.push_back({text, "", &value});
         return [text](PlannedPoint &point) {
             point.qasmPath.clear();
             point.application = text;
         };
     }
 
-    static std::string stemOf(const std::string &path)
+    void parseOptions(const JsonValue &value, RunOptions &options)
     {
-        const size_t slash = path.find_last_of('/');
-        const size_t start = slash == std::string::npos ? 0 : slash + 1;
-        size_t end = path.find_last_of('.');
-        if (end == std::string::npos || end <= start)
-            end = path.size();
-        return path.substr(start, end - start);
-    }
-
-    void parseOptions(const JsonValue &value, RunOptions &options) const
-    {
-        expect(value, JsonValue::Kind::Object, "\"options\"");
+        if (!expect(value, JsonValue::Kind::Object, "\"options\""))
+            return;
         for (const auto &[key, v] : value.members) {
             if (key == "decompose_runtime") {
-                expect(v, JsonValue::Kind::Bool,
-                       "\"decompose_runtime\"");
-                options.decomposeRuntime = v.boolean;
+                if (expect(v, JsonValue::Kind::Bool,
+                           "\"decompose_runtime\""))
+                    options.decomposeRuntime = v.boolean;
             } else if (key == "point_timeout_ms") {
-                const int ms = intOf(v, "\"point_timeout_ms\"");
-                if (ms < 1)
-                    parser_.failAt(v, "\"point_timeout_ms\" must be "
-                                      "at least 1");
-                options.pointTimeoutMs = ms;
+                if (const auto ms = intAtLeast(v, "\"point_timeout_ms\"",
+                                               1, "bad-option"))
+                    options.pointTimeoutMs = *ms;
             } else if (key == "cache") {
-                expect(v, JsonValue::Kind::String, "\"cache\"");
+                if (!expect(v, JsonValue::Kind::String, "\"cache\""))
+                    continue;
                 if (v.text.empty())
-                    parser_.failAt(v, "\"cache\" must not be empty");
-                std::string path = v.text;
-                if (path[0] != '/' && !baseDir_.empty())
-                    path = baseDir_ + "/" + path;
-                options.cachePath = path;
+                    fail("bad-option", v, "\"cache\" must not be empty");
+                else
+                    options.cachePath = resolveAgainst(v.text, baseDir_);
             } else {
-                parser_.failAt(v, "unknown option \"" + key +
-                                      "\" (known: cache, "
-                                      "decompose_runtime, "
-                                      "point_timeout_ms)");
+                fail("unknown-option", v,
+                     "unknown option \"" + key +
+                         "\" (known: cache, decompose_runtime, "
+                         "point_timeout_ms)");
             }
         }
     }
 
     /** Parse the top-level "search" block (budget/eta/seed). */
-    void parseSearch(const JsonValue &value,
-                     SearchSpecOptions &search) const
+    void parseSearch(const JsonValue &value, SearchSpecOptions &search)
     {
-        expect(value, JsonValue::Kind::Object, "\"search\"");
+        if (!expect(value, JsonValue::Kind::Object, "\"search\""))
+            return;
         search.declared = true;
         for (const auto &[key, v] : value.members) {
             if (key == "budget") {
-                const int budget = intOf(v, "\"budget\"");
-                if (budget < 1)
-                    parser_.failAt(v,
-                                   "\"budget\" must be at least 1");
-                search.budget = static_cast<size_t>(budget);
+                if (const auto budget =
+                        intAtLeast(v, "\"budget\"", 1, "bad-search"))
+                    search.budget = static_cast<size_t>(*budget);
             } else if (key == "eta") {
-                const int eta = intOf(v, "\"eta\"");
-                if (eta < 2)
-                    parser_.failAt(v, "\"eta\" must be at least 2");
-                search.eta = eta;
+                if (const auto eta =
+                        intAtLeast(v, "\"eta\"", 2, "bad-search"))
+                    search.eta = *eta;
             } else if (key == "seed") {
-                expect(v, JsonValue::Kind::Number, "\"seed\"");
-                const auto seed = static_cast<uint64_t>(v.number);
-                if (static_cast<double>(seed) != v.number ||
-                    v.number < 0)
-                    parser_.failAt(v, "\"seed\" must be a "
-                                      "non-negative integer");
-                search.seed = seed;
+                if (!expect(v, JsonValue::Kind::Number, "\"seed\""))
+                    continue;
+                // Range first: an out-of-range cast is undefined.
+                const double n = v.number;
+                if (n >= 0 && n < 0x1p64 &&
+                    static_cast<double>(static_cast<uint64_t>(n)) == n)
+                    search.seed = static_cast<uint64_t>(n);
+                else
+                    fail("bad-search", v,
+                         "\"seed\" must be a non-negative integer");
             } else {
-                parser_.failAt(v, "unknown search key \"" + key +
-                                      "\" (known: budget, eta, "
-                                      "seed)");
+                fail("unknown-key", v,
+                     "unknown search key \"" + key +
+                         "\" (known: budget, eta, seed)");
             }
         }
     }
 
-    SweepGrid buildGrid(const JsonValue &grid,
-                        size_t points_so_far) const
+    SweepGrid buildGrid(const JsonValue &grid, size_t points_so_far)
     {
-        expect(grid, JsonValue::Kind::Object, "sweep grid");
+        if (walk_ != nullptr)
+            sites_ = &walk_->grids.emplace_back();
+        if (!expect(grid, JsonValue::Kind::Object, "sweep grid"))
+            return {PlannedPoint{}, {}};
 
         // An axis per array-valued key, in declaration order (first
         // declared varies slowest); scalars fix the value grid-wide.
@@ -353,70 +470,73 @@ class SpecBuilder
                 parseOptions(value, base.options);
                 continue;
             }
-            bool known = false;
-            for (const std::string &axis_key : sweepAxisKeys())
-                known = known || key == axis_key;
-            if (!known) {
+            const std::vector<std::string> &axis_keys = sweepAxisKeys();
+            if (std::find(axis_keys.begin(), axis_keys.end(), key) ==
+                axis_keys.end()) {
                 std::string list;
-                for (const std::string &axis_key : sweepAxisKeys())
+                for (const std::string &axis_key : axis_keys)
                     list += axis_key + ", ";
-                parser_.failAt(value, "unknown grid key \"" + key +
-                                          "\" (known: " + list +
-                                          "options)");
+                fail("unknown-key", value,
+                     "unknown grid key \"" + key + "\" (known: " + list +
+                         "options)");
+                continue;
             }
             have_apps = have_apps || key == "apps";
             // "params" takes an object per value, so a bare object is
             // a scalar there, not an axis.
-            const bool is_axis = value.kind == JsonValue::Kind::Array;
-            if (is_axis) {
-                if (value.items.empty())
-                    parser_.failAt(value, "axis \"" + key +
-                                              "\" must not be empty");
-                SweepGrid::Axis axis;
-                axis.key = key;
-                axis.values.reserve(value.items.size());
-                for (const JsonValue &item : value.items)
-                    axis.values.push_back(makeSetter(key, item));
-                axes.push_back(std::move(axis));
-            } else {
-                makeSetter(key, value)(base);
+            if (value.kind != JsonValue::Kind::Array) {
+                if (const SweepGrid::Setter set = makeSetter(key, value))
+                    set(base);
+                continue;
             }
+            if (value.items.empty()) {
+                fail("empty-axis", value,
+                     "axis \"" + key +
+                         "\" must not be empty: an empty array makes "
+                         "the whole cross-product empty");
+                continue;
+            }
+            if (sites_ != nullptr)
+                sites_->axes.emplace_back(key, &value);
+            // Rejected values keep their (empty) slot, so the point-cap
+            // checks below count the axis as written.
+            SweepGrid::Axis axis;
+            axis.key = key;
+            axis.values.reserve(value.items.size());
+            for (const JsonValue &item : value.items)
+                axis.values.push_back(makeSetter(key, item));
+            axes.push_back(std::move(axis));
         }
         if (!have_apps)
-            parser_.failAt(grid, "sweep grid is missing \"apps\"");
+            fail("missing-apps", grid, "sweep grid is missing \"apps\"");
 
         size_t total = 1;
         for (const SweepGrid::Axis &axis : axes) {
             const size_t n = axis.values.size();
-            if (total > kMaxSweepPoints / n)
-                parser_.failAt(grid,
-                               "grid expands to too many points");
+            if (total > kMaxSweepPoints / n) {
+                fail("grid-too-large", grid,
+                     "grid expands to too many points");
+                return {std::move(base), {}};
+            }
             total *= n;
         }
-        if (points_so_far > kMaxSweepPoints - total)
-            parser_.failAt(grid, "spec expands to too many points");
-
+        if (points_so_far > kMaxSweepPoints - total) {
+            fail("grid-too-large", grid,
+                 "spec expands to too many points");
+            return {std::move(base), {}};
+        }
         return {std::move(base), std::move(axes)};
     }
 
-    const JsonParser &parser_;
+    const JsonParser *parser_ = nullptr;
+    SweepSchemaWalk *walk_ = nullptr;
+    /** Lint mode: the grid being walked. */
+    SweepGridSites *sites_ = nullptr;
+    std::string origin_;
     std::string baseDir_;
 };
 
 } // namespace
-
-const std::vector<std::string> &
-sweepAxisKeys()
-{
-    // One table drives the membership check, the unknown-key error
-    // text, applyAxisValue's dispatch (which panics on anything not
-    // listed here), and qccd_lint's schema walk — so the four can
-    // never drift apart.
-    static const std::vector<std::string> keys = {
-        "apps",   "topology", "capacity", "gate",
-        "reorder", "buffer",  "policy",   "params"};
-    return keys;
-}
 
 SweepGrid::SweepGrid(PlannedPoint base, std::vector<Axis> axes)
     : base_(std::move(base)), axes_(std::move(axes))
@@ -482,6 +602,15 @@ parseSweepPlan(const std::string &text, const std::string &origin,
     return SpecBuilder(parser, base_dir).build(root);
 }
 
+SweepSchemaWalk
+walkSweepSchema(const JsonValue &root, const std::string &origin,
+                const std::string &base_dir)
+{
+    SweepSchemaWalk walk;
+    walk.plan = SpecBuilder(walk, origin, base_dir).build(root);
+    return walk;
+}
+
 SweepPlan
 parseSweepPlanFile(const std::string &path)
 {
@@ -490,10 +619,7 @@ parseSweepPlanFile(const std::string &path)
     std::ostringstream text;
     text << in.rdbuf();
     fatalUnless(!in.bad(), "error reading sweep spec '" + path + "'");
-    const size_t slash = path.find_last_of('/');
-    const std::string base_dir =
-        slash == std::string::npos ? "." : path.substr(0, slash);
-    return parseSweepPlan(text.str(), path, base_dir);
+    return parseSweepPlan(text.str(), path, parentDir(path));
 }
 
 SweepSpec

@@ -43,6 +43,13 @@
  * materializing it. parseSweepSpec() is the eager wrapper that expands
  * a plan into the flat point list sweeps execute.
  *
+ * The schema — keys, value kinds, names, bounds and the point cap —
+ * is enforced by one walker with two modes. parseSweepPlan() throws
+ * its first finding as a positioned ConfigError; walkSweepSchema()
+ * (lint mode, behind `qccd_lint`) collects every finding with a stable
+ * code and walks on past the bad value. The same rules therefore
+ * accept and reject the same documents in both.
+ *
  * Expanded points execute through the shared SweepEngine in batches,
  * with contiguous sharding (--shard i/n; concatenating shard outputs in
  * index order is byte-identical to the unsharded run) and append/resume
@@ -65,11 +72,13 @@
 #include <vector>
 
 #include "common/hash.hpp"
+#include "core/lint.hpp"
 #include "core/sweep.hpp"
 
 namespace qccd
 {
 
+struct JsonValue;
 class ResultStore;
 class SweepEngine;
 
@@ -194,16 +203,60 @@ SweepPlan parseSweepPlan(const std::string &text,
 /** Parse a `.sweep` file into a lazy plan. */
 SweepPlan parseSweepPlanFile(const std::string &path);
 
-/**
- * Grid keys that take axis values ("apps", "topology", "capacity",
- * ...). The single source of truth for the spec schema, shared by the
- * parser's membership check and `qccd_lint`'s static walk.
- */
-const std::vector<std::string> &sweepAxisKeys();
-
 /** Hard cap on expanded points, so a typo'd grid cannot OOM the host
- *  (shared by the parser and `qccd_lint`'s static size check). */
+ *  (checked by the schema walker, before anything is expanded). */
 inline constexpr size_t kMaxSweepPoints = size_t{1} << 20;
+
+/** A grid value the schema walker accepted, with its position. */
+struct SweepSite
+{
+    /** Application as written (builtin name or "qasm:FILE"), or the
+     *  topology spec with any "topo:" path resolved. */
+    std::string text;
+
+    /** The resolved "qasm:"/"topo:" file; empty for builtin names and
+     *  builder specs. */
+    std::string path;
+
+    const JsonValue *at = nullptr;
+};
+
+/** The accepted values of one grid: input to the checks that need the
+ *  filesystem or a built device (`qccd_lint`'s file and fit checks). */
+struct SweepGridSites
+{
+    std::vector<SweepSite> apps;
+    std::vector<SweepSite> topologies;
+    std::vector<int> capacities;
+    std::vector<int> buffers;
+    /** (key, array) of every array-valued key: the sweep axes. */
+    std::vector<std::pair<std::string, const JsonValue *>> axes;
+};
+
+/** Everything one lint-mode walk found. */
+struct SweepSchemaWalk
+{
+    /** The plan; expandable only when `findings` is empty. */
+    SweepPlan plan;
+
+    /** Every violation as an error with its stable code, in walk
+     *  order; the first is exactly what parseSweepPlan() throws. */
+    std::vector<LintDiagnostic> findings;
+
+    /** One entry per element of the "sweeps" array. */
+    std::vector<SweepGridSites> grids;
+};
+
+/**
+ * Walk a parsed spec document in lint mode: the walker parseSweepPlan()
+ * runs, collecting every finding instead of throwing the first.
+ *
+ * @param origin path the findings carry
+ * @param base_dir directory "qasm:"/"topo:"/cache paths resolve against
+ */
+SweepSchemaWalk walkSweepSchema(const JsonValue &root,
+                                const std::string &origin,
+                                const std::string &base_dir);
 
 /**
  * Parse sweep-spec text.

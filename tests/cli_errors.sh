@@ -86,6 +86,17 @@ expect_error "sweep w/ bad topology" "unknown topology" \
 expect_error "sweep topo parse position" "badtopo.sweep:1:" \
     --sweep "$scratch/badtopo.sweep"
 
+# Capacity and buffer bounds are schema: the spec is refused at parse
+# time with its position, not point by point at run time.
+echo '{"name": "x", "sweeps": [{"apps": "qft", "capacity": 1}]}' \
+    > "$scratch/cap1.sweep"
+expect_error "sweep capacity bound" "cap1.sweep:1:[0-9]*: .*at least 2" \
+    --sweep "$scratch/cap1.sweep" --out "$scratch/cap1.csv"
+echo '{"name": "x", "sweeps": [{"apps": "qft", "buffer": [2, -1]}]}' \
+    > "$scratch/buf.sweep"
+expect_error "sweep buffer bound" "buf.sweep:1:[0-9]*: .*at least 0" \
+    --sweep "$scratch/buf.sweep" --out "$scratch/buf.csv"
+
 echo '{"name": "x", "sweeps": [{"apps": "qft"}]}' > "$scratch/ok.sweep"
 expect_error "bad --shard"      "shard must be"        --sweep "$scratch/ok.sweep" --shard 1-2
 expect_error "shard out of range" "shard index"        --sweep "$scratch/ok.sweep" --shard 2/2
@@ -355,6 +366,25 @@ if [[ -n "$LINT" ]]; then
         failures=$((failures + 1))
     else
         echo "ok: lint garbled spec diagnoses with position"
+    fi
+
+    # One schema walker: lint and the sweep runner report a bad spec at
+    # the same file:line:col with the same message.
+    "$LINT" "$scratch/badtopo.sweep" 2>&1 | head -1 \
+        | sed -e 's/: error: /: /' -e 's/ \[[a-z-]*\]$//' \
+        > "$scratch/lint_said"
+    "$EXPLORE" --sweep "$scratch/badtopo.sweep" \
+        --out "$scratch/agree.csv" 2>&1 | sed 's/^error: //' \
+        > "$scratch/explore_said"
+    if [[ -s "$scratch/lint_said" ]] \
+        && grep -q "badtopo.sweep:1:[0-9]*: " "$scratch/lint_said" \
+        && cmp -s "$scratch/lint_said" "$scratch/explore_said"; then
+        echo "ok: lint and --sweep agree on a bad spec"
+    else
+        echo "FAIL: lint and --sweep disagree on badtopo.sweep:" >&2
+        sed 's/^/    lint:    /' "$scratch/lint_said" >&2
+        sed 's/^/    explore: /' "$scratch/explore_said" >&2
+        failures=$((failures + 1))
     fi
 
     echo '{"name": "ok", "sweeps": [{"apps": ["bv"]}]}' \

@@ -19,6 +19,7 @@
 #include "core/export.hpp"
 #include "core/lint.hpp"
 #include "core/sweep_spec.hpp"
+#include "spec_fuzz.hpp"
 
 namespace qccd
 {
@@ -171,6 +172,38 @@ TEST(LintSweep, GridPastExpansionCapIsFlagged)
         spec << (i ? "," : "") << i;
     spec << "]}]}";
     EXPECT_TRUE(hasCode(lintSpec(spec.str()), "grid-too-large"));
+}
+
+TEST(LintSweep, NonIntegralIntegerParamIsBadKind)
+{
+    // buffer_slots is an integer parameter: the parser rejects 1.5, so
+    // lint must too, without a summary forcing a second parse.
+    const LintReport report = lintSpec(
+        "{\"name\": \"x\", \"sweeps\": [{\"apps\": [\"qft\"],"
+        " \"params\": {\"buffer_slots\": 1.5}}]}");
+    ASSERT_TRUE(hasCode(report, "bad-kind"));
+    EXPECT_NE(diag(report, "bad-kind")->message.find("integer value"),
+              std::string::npos);
+    EXPECT_EQ(report.errorCount(), 1u) << report.toString();
+}
+
+TEST(LintSweep, GridsPastTheCapTogetherAreFlagged)
+{
+    // Two 1024 x 600 grids: each fits under kMaxSweepPoints (2^20),
+    // their sum does not.
+    std::ostringstream grid;
+    grid << "{\"apps\": [\"qft\"], \"capacity\": [";
+    for (int i = 0; i < 1024; ++i)
+        grid << (i ? "," : "") << 2 + i;
+    grid << "], \"buffer\": [";
+    for (int i = 0; i < 600; ++i)
+        grid << (i ? "," : "") << i;
+    grid << "]}";
+    const LintReport report =
+        lintSpec("{\"name\": \"x\", \"sweeps\": [" + grid.str() + ", " +
+                 grid.str() + "]}");
+    ASSERT_TRUE(hasCode(report, "grid-too-large"));
+    EXPECT_EQ(report.errorCount(), 1u) << report.toString();
 }
 
 TEST(LintSweep, FitAnalysisAgainstDeviceCapacity)
@@ -340,57 +373,13 @@ TEST_F(LintTreeTest, CommittedTreeArtifactsAreLintClean)
 // Fuzz: mutated artifacts must never make the linter throw.
 // ---------------------------------------------------------------------
 
-std::string
-randomSpecText(Rng &rng)
-{
-    static const char *kApps[] = {"qft", "bv", "adder", "nonesuch"};
-    std::ostringstream out;
-    out << "{\"name\": \"fuzz" << rng.nextInt(0, 99)
-        << "\", \"sweeps\": [{\"apps\": [\""
-        << kApps[rng.nextInt(0, 3)] << "\"]";
-    if (rng.nextBool())
-        out << ", \"capacity\": [" << rng.nextInt(-2, 30) << "]";
-    if (rng.nextBool())
-        out << ", \"topology\": \"linear:" << rng.nextInt(0, 8) << "\"";
-    if (rng.nextBool())
-        out << ", \"params\": {\"heating_k1\": " << rng.nextDouble()
-            << "}";
-    out << "}]}";
-    return out.str();
-}
-
-void
-mutate(std::string &text, Rng &rng)
-{
-    const std::string alphabet = "{}[]\",:#.-+eE0123456789abz \n\\\t";
-    switch (rng.nextInt(0, 3)) {
-      case 0:
-        text.resize(rng.nextBelow(text.size() + 1));
-        break;
-      case 1: {
-        const int edits = rng.nextInt(1, 8);
-        for (int e = 0; e < edits && !text.empty(); ++e)
-            text[rng.nextBelow(text.size())] =
-                alphabet[rng.nextBelow(alphabet.size())];
-        break;
-      }
-      case 2: {
-        const size_t from = rng.nextBelow(text.size() + 1);
-        text.erase(from, rng.nextBelow(text.size() - from + 1));
-        break;
-      }
-      default:
-        break; // keep as generated
-    }
-}
-
 TEST(LintFuzz, MutatedSpecsNeverCrashTheLinter)
 {
     Rng rng(0x11177f00dULL);
     int clean = 0;
     for (int iter = 0; iter < 400; ++iter) {
-        std::string text = randomSpecText(rng);
-        mutate(text, rng);
+        std::string text = spec_fuzz::randomLintSpecText(rng);
+        spec_fuzz::mutate(text, rng);
         LintReport report;
         SweepLintSummary summary;
         // Must not throw; ASSERT_NO_THROW would hide which iteration.
@@ -422,8 +411,8 @@ TEST(LintFuzz, MutatedTopoAndGoldenNeverCrashTheLinter)
         for (int i = 3; i < 17; ++i)
             golden += ",1";
         golden += "\n";
-        mutate(topo, rng);
-        mutate(golden, rng);
+        spec_fuzz::mutate(topo, rng);
+        spec_fuzz::mutate(golden, rng);
         LintReport report;
         try {
             lintTopoText(topo, "fuzz.topo", report);

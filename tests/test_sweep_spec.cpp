@@ -22,6 +22,7 @@
 #include "core/export.hpp"
 #include "core/sweep_engine.hpp"
 #include "core/sweep_spec.hpp"
+#include "spec_fuzz.hpp"
 
 namespace qccd
 {
@@ -261,64 +262,15 @@ TEST(SweepSpecParse, DeeplyNestedInputErrorsInsteadOfOverflowing)
 // anything else (crash, hang, foreign exception) fails the test.
 // ---------------------------------------------------------------------
 
-std::string
-randomValidSpecText(Rng &rng)
-{
-    static const char *kApps[] = {"qft", "bv", "adder", "qaoa"};
-    static const char *kGates[] = {"AM1", "AM2", "PM", "FM"};
-    std::ostringstream out;
-    out << "{\"name\": \"fuzz" << rng.nextInt(0, 99)
-        << "\", \"sweeps\": [";
-    const int grids = rng.nextInt(1, 3);
-    for (int g = 0; g < grids; ++g) {
-        out << (g ? ", " : "") << "{\"apps\": [\""
-            << kApps[rng.nextInt(0, 3)] << "\"]";
-        if (rng.nextBool())
-            out << ", \"capacity\": [" << rng.nextInt(2, 34) << ", "
-                << rng.nextInt(2, 34) << "]";
-        if (rng.nextBool())
-            out << ", \"gate\": \"" << kGates[rng.nextInt(0, 3)] << "\"";
-        if (rng.nextBool())
-            out << ", \"params\": {\"heating_k1\": "
-                << rng.nextDouble() << "}";
-        if (rng.nextBool())
-            out << ", \"options\": {\"decompose_runtime\": "
-                << (rng.nextBool() ? "true" : "false") << "}";
-        out << "}";
-    }
-    out << "]}";
-    return out.str();
-}
-
 TEST(SweepSpecFuzz, GarbledInputNeverCrashes)
 {
     Rng rng(0x5eedf00dULL);
-    const std::string garbage_alphabet =
-        "{}[]\",:#.-+eE0123456789abz \n\\\t";
     int parsed_ok = 0;
     for (int iter = 0; iter < 200; ++iter) {
-        std::string text = randomValidSpecText(rng);
-        // Mutate: truncate, splice garbage, or delete a span.
-        switch (rng.nextInt(0, 3)) {
-          case 0:
-            text.resize(rng.nextBelow(text.size() + 1));
-            break;
-          case 1: {
-            const int edits = rng.nextInt(1, 8);
-            for (int e = 0; e < edits && !text.empty(); ++e)
-                text[rng.nextBelow(text.size())] = garbage_alphabet
-                    [rng.nextBelow(garbage_alphabet.size())];
-            break;
-          }
-          case 2: {
-            const size_t from = rng.nextBelow(text.size() + 1);
-            const size_t len = rng.nextBelow(text.size() - from + 1);
-            text.erase(from, len);
-            break;
-          }
-          default:
-            break; // keep valid — parser must accept
-        }
+        std::string text = spec_fuzz::randomValidSpecText(rng);
+        // Truncate, splice garbage, delete a span, or keep it valid —
+        // the parser must accept the last.
+        spec_fuzz::mutate(text, rng);
         try {
             parseSweepSpec(text, "fuzz");
             ++parsed_ok;
@@ -334,10 +286,7 @@ TEST(SweepSpecFuzz, RandomBytesNeverCrash)
 {
     Rng rng(0xbadcafeULL);
     for (int iter = 0; iter < 200; ++iter) {
-        std::string text;
-        const int len = rng.nextInt(0, 120);
-        for (int i = 0; i < len; ++i)
-            text.push_back(static_cast<char>(rng.nextInt(1, 126)));
+        const std::string text = spec_fuzz::randomBytes(rng);
         try {
             parseSweepSpec(text, "bytes");
         } catch (const QccdError &) {
