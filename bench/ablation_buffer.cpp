@@ -3,44 +3,28 @@
  * Ablation: buffer slots per trap. The paper fixes two free slots per
  * trap for incoming shuttles (Section VI); this sweep quantifies the
  * sensitivity of runtime and fidelity to that choice, including the
- * eviction pressure that appears when no buffer is reserved.
+ * eviction pressure that appears when no buffer is reserved. The
+ * scenario is examples/sweeps/ablation_buffer.sweep.
  */
 
 #include <iostream>
 
 #include "common/table.hpp"
-#include "core/export.hpp"
-#include "core/sweep_engine.hpp"
+#include "spec_bench.hpp"
 
 int
 main()
 {
     using namespace qccd;
 
-    // All 15 points share one L6 cap=22 context; buffer slots only
-    // change the compiler's headroom, not the architecture.
-    SweepEngine engine;
-    std::vector<SweepJob> jobs;
-    const std::vector<int> buffers{0, 1, 2, 4, 6};
-    for (const char *app : {"qft", "squareroot", "supremacy"}) {
-        const auto native = engine.nativeBenchmark(app);
-        for (int buffer : buffers) {
-            SweepJob job;
-            job.application = app;
-            job.native = native;
-            job.design = DesignPoint::linear(6, 22);
-            job.design.hw.bufferSlots = buffer;
-            jobs.push_back(std::move(job));
-        }
-    }
-    const auto points = engine.run(jobs);
+    const bench::SpecRows rows = bench::runSpec("ablation_buffer.sweep");
 
     std::cout << "=== Ablation: buffer slots per trap (L6 cap=22, FM-GS) "
                  "===\n";
     TextTable table;
     table.addRow({"app", "buffer", "time (s)", "fidelity", "evictions",
                   "shuttles"});
-    for (const SweepPoint &p : points) {
+    for (const SweepPoint &p : rows.points) {
         const RunResult &r = p.result;
         table.addRow({p.application,
                       std::to_string(p.design.hw.bufferSlots),
@@ -52,8 +36,7 @@ main()
     std::cout << table.render();
 
     // Raw series for external plotting and the golden check.
-    writeTextFile(toCsv(points), "ablation_buffer.csv");
-    std::cout << "\nwrote ablation_buffer.csv (" << points.size()
-              << " rows)\n";
+    std::cout << "\n";
+    bench::writeCsv(rows);
     return 0;
 }

@@ -5,43 +5,28 @@
  * (e.g. Honeywell's) recool chains with coolant ions. This bench adds a
  * configurable post-merge recool factor and quantifies how much of the
  * shuttling fidelity penalty recooling recovers - a future-work knob
- * beyond the paper's model, off by default everywhere else.
+ * beyond the paper's model, off by default everywhere else. The
+ * scenario is examples/sweeps/ablation_cooling.sweep.
  */
 
 #include <iostream>
 
 #include "common/table.hpp"
-#include "core/export.hpp"
-#include "core/sweep_engine.hpp"
+#include "spec_bench.hpp"
 
 int
 main()
 {
     using namespace qccd;
 
-    // One shared L6 cap=22 context; the recool factor is a pure model
-    // knob, so all 15 points ride the same architecture.
-    SweepEngine engine;
-    std::vector<SweepJob> jobs;
-    for (const char *app : {"qft", "squareroot", "supremacy"}) {
-        const auto native = engine.nativeBenchmark(app);
-        for (double factor : {1.0, 0.5, 0.25, 0.1, 0.01}) {
-            SweepJob job;
-            job.application = app;
-            job.native = native;
-            job.design = DesignPoint::linear(6, 22);
-            job.design.hw.recoolFactor = factor;
-            jobs.push_back(std::move(job));
-        }
-    }
-    const auto points = engine.run(jobs);
+    const bench::SpecRows rows = bench::runSpec("ablation_cooling.sweep");
 
     std::cout << "=== Extension: post-merge sympathetic recooling "
                  "(L6 cap=22, FM-GS) ===\n";
     TextTable table;
     table.addRow({"app", "recool factor", "fidelity",
                   "max heat (quanta)", "time (s)"});
-    for (const SweepPoint &p : points) {
+    for (const SweepPoint &p : rows.points) {
         const RunResult &r = p.result;
         table.addRow({p.application,
                       formatSig(p.design.hw.recoolFactor, 3),
@@ -55,8 +40,6 @@ main()
                  "after each merge.\n";
 
     // Raw series for external plotting and the golden check.
-    writeTextFile(toCsv(points), "ablation_cooling.csv");
-    std::cout << "wrote ablation_cooling.csv (" << points.size()
-              << " rows)\n";
+    bench::writeCsv(rows);
     return 0;
 }

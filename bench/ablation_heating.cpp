@@ -3,51 +3,28 @@
  * Ablation: heating constants k1/k2. The paper assumes rates one order
  * of magnitude better than Honeywell's measured ~2 quanta per shuttle
  * (Section VII-B, k1=0.1, k2=0.01). This sweep shows how application
- * fidelity degrades if that projection is not met.
+ * fidelity degrades if that projection is not met. The scenario is
+ * examples/sweeps/ablation_heating.sweep (k1/k2 pairs from 0.1x to 10x
+ * the paper's projection).
  */
 
 #include <iostream>
 
 #include "common/table.hpp"
-#include "core/export.hpp"
-#include "core/sweep_engine.hpp"
+#include "spec_bench.hpp"
 
 int
 main()
 {
     using namespace qccd;
 
-    // Heating constants are model knobs: one shared L6 cap=22 context
-    // serves all ten points. The k1/k2 pairs are literals (0.1x to 10x
-    // the paper's projection) rather than computed scales, so the
-    // declarative reproduction (examples/sweeps/ablation_heating.sweep)
-    // parses the exact same doubles.
-    SweepEngine engine;
-    std::vector<SweepJob> jobs;
-    const std::pair<double, double> rates[] = {{0.01, 0.001},
-                                               {0.05, 0.005},
-                                               {0.1, 0.01},
-                                               {0.2, 0.02},
-                                               {1.0, 0.1}};
-    for (const char *app : {"qft", "supremacy"}) {
-        const auto native = engine.nativeBenchmark(app);
-        for (const auto &[k1, k2] : rates) {
-            SweepJob job;
-            job.application = app;
-            job.native = native;
-            job.design = DesignPoint::linear(6, 22);
-            job.design.hw.heatingK1 = k1;
-            job.design.hw.heatingK2 = k2;
-            jobs.push_back(std::move(job));
-        }
-    }
-    const auto points = engine.run(jobs);
+    const bench::SpecRows rows = bench::runSpec("ablation_heating.sweep");
 
     std::cout << "=== Ablation: heating constants (L6 cap=22, FM-GS) "
                  "===\n";
     TextTable table;
     table.addRow({"app", "k1", "k2", "fidelity", "max heat (quanta)"});
-    for (const SweepPoint &p : points) {
+    for (const SweepPoint &p : rows.points) {
         const RunResult &r = p.result;
         table.addRow({p.application, formatSig(p.design.hw.heatingK1, 3),
                       formatSig(p.design.hw.heatingK2, 3),
@@ -59,8 +36,6 @@ main()
                  "paper's projected rates are the middle row.\n";
 
     // Raw series for external plotting and the golden check.
-    writeTextFile(toCsv(points), "ablation_heating.csv");
-    std::cout << "wrote ablation_heating.csv (" << points.size()
-              << " rows)\n";
+    bench::writeCsv(rows);
     return 0;
 }

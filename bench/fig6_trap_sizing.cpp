@@ -9,31 +9,52 @@
  *  6f: maximum motional mode energy across the device
  *  6g: Supremacy two-qubit gate error decomposition
  *      (background Gamma*tau vs motional A*(2nbar+1))
+ *
+ * The scenario is examples/sweeps/fig6.sweep; this bench prints its
+ * tables and writes the CSV golden/ pins.
  */
 
 #include <iostream>
-#include <map>
+#include <utility>
 
 #include "common/table.hpp"
-#include "core/export.hpp"
 #include "core/report.hpp"
-#include "core/sweep.hpp"
+#include "spec_bench.hpp"
+
+namespace
+{
+
+using namespace qccd;
+
+/** One application's series by capacity (ascending in the spec), one
+ *  row per labelled metric (Figs. 6b and 6g). */
+std::string
+appTable(const std::vector<SweepPoint> &points, const std::string &app,
+         const char *corner,
+         const std::vector<std::pair<const char *, MetricFn>> &metrics)
+{
+    TextTable table;
+    std::vector<std::string> header{corner};
+    for (int c : bench::capacitiesOf(points))
+        header.push_back(std::to_string(c));
+    table.addRow(header);
+    for (const auto &[label, metric] : metrics) {
+        std::vector<std::string> row{label};
+        for (const SweepPoint &p : points)
+            if (p.application == app)
+                row.push_back(formatSig(metric(p.result), 4));
+        table.addRow(row);
+    }
+    return table.render();
+}
+
+} // namespace
 
 int
 main()
 {
-    using namespace qccd;
-
-    const std::vector<std::string> apps{"adder", "supremacy", "qft",
-                                        "bv", "qaoa", "squareroot"};
-    const std::vector<int> caps = paperCapacities();
-    RunOptions options;
-    options.decomposeRuntime = true;
-
-    const auto points = sweepCapacity(apps, caps, [](int cap) {
-        return DesignPoint::linear(6, cap, GateImpl::FM,
-                                   ReorderMethod::GS);
-    }, options);
+    const bench::SpecRows rows = bench::runSpec("fig6.sweep");
+    const std::vector<SweepPoint> &points = rows.points;
 
     std::cout << "=== Figure 6: trap sizing (L6, FM, GS) ===\n\n";
 
@@ -41,30 +62,11 @@ main()
               << seriesTable(points, metricTimeSeconds, "time[s]")
               << "\n";
 
-    std::cout << "--- Fig 6b: QFT compute vs communication time (s) ---\n";
-    {
-        TextTable table;
-        std::vector<std::string> h{"QFT series"};
-        for (int c : caps)
-            h.push_back(std::to_string(c));
-        table.addRow(h);
-        std::vector<std::string> comp{"computation"};
-        std::vector<std::string> comm{"communication"};
-        for (int c : caps) {
-            for (const SweepPoint &p : points) {
-                if (p.application == "qft" &&
-                    p.design.trapCapacity == c) {
-                    comp.push_back(
-                        formatSig(metricComputeTimeSeconds(p.result), 4));
-                    comm.push_back(
-                        formatSig(metricCommTimeSeconds(p.result), 4));
-                }
-            }
-        }
-        table.addRow(comp);
-        table.addRow(comm);
-        std::cout << table.render() << "\n";
-    }
+    std::cout << "--- Fig 6b: QFT compute vs communication time (s) ---\n"
+              << appTable(points, "qft", "QFT series",
+                          {{"computation", metricComputeTimeSeconds},
+                           {"communication", metricCommTimeSeconds}})
+              << "\n";
 
     std::cout << "--- Fig 6c-6e: application fidelity ---\n"
               << seriesTable(points, metricFidelity, "fidelity", true)
@@ -80,34 +82,18 @@ main()
               << "\n";
 
     std::cout << "--- Fig 6g: Supremacy MS gate error split (x1e-2) "
-                 "---\n";
-    {
-        TextTable table;
-        std::vector<std::string> h{"error term"};
-        for (int c : caps)
-            h.push_back(std::to_string(c));
-        table.addRow(h);
-        std::vector<std::string> bg{"background"};
-        std::vector<std::string> mot{"motional"};
-        for (int c : caps) {
-            for (const SweepPoint &p : points) {
-                if (p.application == "supremacy" &&
-                    p.design.trapCapacity == c) {
-                    bg.push_back(formatSig(
-                        p.result.sim.meanBackgroundError() * 100, 4));
-                    mot.push_back(formatSig(
-                        p.result.sim.meanMotionalError() * 100, 4));
-                }
-            }
-        }
-        table.addRow(bg);
-        table.addRow(mot);
-        std::cout << table.render();
-    }
+                 "---\n"
+              << appTable(points, "supremacy", "error term",
+                          {{"background",
+                            [](const RunResult &r) {
+                                return r.sim.meanBackgroundError() * 100;
+                            }},
+                           {"motional", [](const RunResult &r) {
+                                return r.sim.meanMotionalError() * 100;
+                            }}});
 
     // Raw series for external plotting.
-    writeTextFile(toCsv(points), "fig6_trap_sizing.csv");
-    std::cout << "\nwrote fig6_trap_sizing.csv (" << points.size()
-              << " rows)\n";
+    std::cout << "\n";
+    bench::writeCsv(rows);
     return 0;
 }

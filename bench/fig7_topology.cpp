@@ -5,35 +5,29 @@
  *
  *  7a-7f: per-application runtime and fidelity for both topologies
  *  7g: SquareRoot motional heating for both topologies
+ *
+ * The scenario is examples/sweeps/fig7.sweep (one grid per topology);
+ * this bench prints its tables and writes the CSV golden/ pins.
  */
 
 #include <cmath>
 #include <iostream>
 
 #include "common/table.hpp"
-#include "core/export.hpp"
 #include "core/report.hpp"
-#include "core/sweep.hpp"
-#include "core/sweep_engine.hpp"
+#include "spec_bench.hpp"
 
 int
 main()
 {
     using namespace qccd;
 
-    const std::vector<std::string> apps{"adder", "bv", "supremacy",
-                                        "qaoa", "qft", "squareroot"};
-    const std::vector<int> caps = paperCapacities();
-
-    // One engine for both topologies: each app is lowered once and the
-    // two sweeps run on the shared worker pool.
-    SweepEngine engine;
-    const auto linear = sweepCapacity(engine, apps, caps, [](int cap) {
-        return DesignPoint::linear(6, cap);
-    });
-    const auto grid = sweepCapacity(engine, apps, caps, [](int cap) {
-        return DesignPoint::grid(2, 3, cap);
-    });
+    const bench::SpecRows rows = bench::runSpec("fig7.sweep");
+    std::vector<SweepPoint> linear;
+    std::vector<SweepPoint> grid;
+    for (const SweepPoint &p : rows.points)
+        (p.design.topologySpec == "linear:6" ? linear : grid).push_back(p);
+    const std::vector<int> caps = bench::capacitiesOf(rows.points);
 
     std::cout << "=== Figure 7: topology (FM, GS; L6 vs G2x3) ===\n\n";
 
@@ -55,14 +49,12 @@ main()
     for (int c : caps)
         h.push_back(std::to_string(c));
     table.addRow(h);
-    auto row = [&](const char *label, const auto &points) {
+    // Each grid lists an app's capacities in ascending order.
+    auto row = [&](const char *label, const std::vector<SweepPoint> &points) {
         std::vector<std::string> cells{label};
-        for (int c : caps)
-            for (const SweepPoint &p : points)
-                if (p.application == "squareroot" &&
-                    p.design.trapCapacity == c)
-                    cells.push_back(
-                        formatSig(p.result.sim.maxChainEnergy, 4));
+        for (const SweepPoint &p : points)
+            if (p.application == "squareroot")
+                cells.push_back(formatSig(p.result.sim.maxChainEnergy, 4));
         table.addRow(cells);
     };
     row("linear", linear);
@@ -70,29 +62,19 @@ main()
     std::cout << table.render() << "\n";
 
     // Headline ratio from the paper: grid/linear fidelity advantage for
-    // SquareRoot (up to thousands of times).
+    // SquareRoot (up to thousands of times). The two grids list the
+    // same (app, capacity) pairs in the same order.
     double best_ratio = 0;
-    for (int c : caps) {
-        double fl = 0;
-        double fg = 0;
-        for (const SweepPoint &p : linear)
-            if (p.application == "squareroot" &&
-                p.design.trapCapacity == c)
-                fl = p.result.sim.logFidelity;
-        for (const SweepPoint &p : grid)
-            if (p.application == "squareroot" &&
-                p.design.trapCapacity == c)
-                fg = p.result.sim.logFidelity;
-        best_ratio = std::max(best_ratio, fg - fl);
-    }
+    for (size_t i = 0; i < linear.size(); ++i)
+        if (linear[i].application == "squareroot")
+            best_ratio = std::max(best_ratio,
+                                  grid[i].result.sim.logFidelity -
+                                      linear[i].result.sim.logFidelity);
     std::cout << "SquareRoot grid-vs-linear max fidelity advantage: e^"
               << formatSig(best_ratio, 4) << " = "
               << formatSci(std::exp(best_ratio), 3) << "x\n";
 
     // Raw series for external plotting.
-    std::vector<SweepPoint> all = linear;
-    all.insert(all.end(), grid.begin(), grid.end());
-    writeTextFile(toCsv(all), "fig7_topology.csv");
-    std::cout << "wrote fig7_topology.csv (" << all.size() << " rows)\n";
+    bench::writeCsv(rows);
     return 0;
 }

@@ -6,88 +6,59 @@
  * Prints one fidelity table and one runtime table per application, one
  * row per combination (the figure's eight curves).
  *
- * All 288 points are evaluated as one SweepEngine batch: every app is
- * lowered once, every capacity's L6 architecture is built once (the
- * eight combos per capacity share it), and the batch runs across the
- * worker pool. Results come back in job order, so the tables below
- * just walk the points in the same nested loop order.
+ * The scenario is examples/sweeps/fig8.sweep: its axes (apps, gate,
+ * reorder, capacity) put each application's points in one block and
+ * each combination's capacities in one run, so the tables below just
+ * walk the rows in spec order.
  */
 
 #include <iostream>
 #include <vector>
 
 #include "common/table.hpp"
-#include "core/export.hpp"
-#include "core/sweep_engine.hpp"
+#include "spec_bench.hpp"
 
 int
 main()
 {
     using namespace qccd;
 
-    const std::vector<std::string> apps{"adder", "bv", "qaoa", "qft",
-                                        "squareroot", "supremacy"};
-    const std::vector<int> caps = paperCapacities();
-    const std::vector<GateImpl> gates{GateImpl::AM1, GateImpl::AM2,
-                                      GateImpl::FM, GateImpl::PM};
-    const std::vector<ReorderMethod> reorders{ReorderMethod::GS,
-                                              ReorderMethod::IS};
-
-    SweepEngine engine;
-    std::vector<SweepJob> jobs;
-    jobs.reserve(apps.size() * gates.size() * reorders.size() *
-                 caps.size());
-    for (const std::string &app : apps) {
-        const auto native = engine.nativeBenchmark(app);
-        for (GateImpl gate : gates) {
-            for (ReorderMethod reorder : reorders) {
-                for (int cap : caps) {
-                    SweepJob job;
-                    job.application = app;
-                    job.native = native;
-                    job.design =
-                        DesignPoint::linear(6, cap, gate, reorder);
-                    jobs.push_back(std::move(job));
-                }
-            }
-        }
-    }
-    const auto points = engine.run(jobs);
+    const bench::SpecRows rows = bench::runSpec("fig8.sweep");
+    const std::vector<SweepPoint> &points = rows.points;
+    const std::vector<int> caps = bench::capacitiesOf(points);
+    std::vector<std::string> header{"combo"};
+    for (int c : caps)
+        header.push_back(std::to_string(c));
 
     std::cout << "=== Figure 8: microarchitecture (L6), 8 combos ===\n";
 
     size_t at = 0;
-    for (const std::string &app : apps) {
+    while (at < points.size()) {
+        const std::string app = points[at].application;
         TextTable fid;
         TextTable time;
-        std::vector<std::string> header{"combo"};
-        for (int c : caps)
-            header.push_back(std::to_string(c));
         fid.addRow(header);
         time.addRow(header);
-
-        for (GateImpl gate : gates) {
-            for (ReorderMethod reorder : reorders) {
-                std::vector<std::string> frow{gateImplName(gate) + "-" +
-                                              reorderMethodName(reorder)};
-                std::vector<std::string> trow = frow;
-                for (size_t c = 0; c < caps.size(); ++c) {
-                    const RunResult &r = points[at++].result;
-                    frow.push_back(formatSci(r.fidelity(), 3));
-                    trow.push_back(
-                        formatSig(r.totalTime() / kSecondUs, 4));
-                }
-                fid.addRow(frow);
-                time.addRow(trow);
+        for (; at < points.size() && points[at].application == app;
+             at += caps.size()) {
+            const HardwareParams &hw = points[at].design.hw;
+            std::vector<std::string> frow{gateImplName(hw.gateImpl) + "-" +
+                                          reorderMethodName(hw.reorder)};
+            std::vector<std::string> trow = frow;
+            for (size_t c = 0; c < caps.size(); ++c) {
+                const RunResult &r = points[at + c].result;
+                frow.push_back(formatSci(r.fidelity(), 3));
+                trow.push_back(formatSig(r.totalTime() / kSecondUs, 4));
             }
+            fid.addRow(frow);
+            time.addRow(trow);
         }
         std::cout << "\n--- " << app << " fidelity ---\n" << fid.render();
         std::cout << "--- " << app << " time (s) ---\n" << time.render();
     }
 
     // Raw series for external plotting and the golden check.
-    writeTextFile(toCsv(points), "fig8_microarch.csv");
-    std::cout << "\nwrote fig8_microarch.csv (" << points.size()
-              << " rows)\n";
+    std::cout << "\n";
+    bench::writeCsv(rows);
     return 0;
 }

@@ -16,6 +16,7 @@
 #include "circuit/qasm/writer.hpp"
 #include "compiler/scheduler.hpp"
 #include "core/sweep_engine.hpp"
+#include "core/sweep_spec.hpp"
 #include "core/toolflow.hpp"
 #include "models/model_tables.hpp"
 #include "sim/isa.hpp"
@@ -218,15 +219,18 @@ BM_SweepEngineBatch(benchmark::State &state)
 {
     // An 18-point capacity sweep through the engine; Arg is the worker
     // count, so Arg(1) vs Arg(4) shows the parallel win on multi-core.
+    // Each iteration lowers the apps afresh on a new engine.
     const int jobs = static_cast<int>(state.range(0));
+    const std::vector<PlannedPoint> points = parseSweepSpec(R"({
+        "name": "engine_batch",
+        "sweeps": [{"apps": ["bv", "adder", "supremacy"],
+                    "capacity": [14, 18, 22, 26, 30, 34]}]
+    })").points;
     for (auto _ : state) {
         SweepEngine engine(jobs);
-        const auto points =
-            sweepCapacity(engine, {"bv", "adder", "supremacy"},
-                          paperCapacities(), [](int cap) {
-                              return DesignPoint::linear(6, cap);
-                          });
-        benchmark::DoNotOptimize(points.size());
+        const auto rows = SweepSpecRunner(engine).collect(
+            points, {}, nullptr, 0, points.size());
+        benchmark::DoNotOptimize(rows.size());
     }
 }
 BENCHMARK(BM_SweepEngineBatch)->Arg(1)->Arg(4)

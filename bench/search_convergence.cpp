@@ -62,11 +62,7 @@ BM_SearchConvergence(benchmark::State &state)
     const std::vector<PlannedPoint> points = plan.expand();
 
     // Exhaustive reference (outside the timing loop).
-    std::vector<SweepPoint> exhaustive;
-    exhaustive.reserve(points.size());
-    runner.run(points, 0, [&](const SweepPoint &point) {
-        exhaustive.push_back(point);
-    });
+    const std::vector<SweepPoint> exhaustive = runner.collect(points);
     size_t best = 0;
     for (size_t i = 1; i < exhaustive.size(); ++i) {
         const double fid = exhaustive[i].result.sim.logFidelity;

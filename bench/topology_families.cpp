@@ -4,57 +4,40 @@
  * layer's ring, star and H-tree devices against the L6 linear baseline
  * (same toolflow, same models), swept over trap capacity for two
  * contrasting communication patterns (bv shared-ancilla, qft all
- * distances). The CSV is reproduced bit-identically by
- * examples/sweeps/topology_families.sweep and pinned in golden/.
+ * distances). The scenario is examples/sweeps/topology_families.sweep
+ * (one grid per family); its CSV is pinned in golden/.
  */
 
+#include <algorithm>
 #include <iostream>
 
-#include "core/export.hpp"
 #include "core/report.hpp"
-#include "core/sweep.hpp"
-#include "core/sweep_engine.hpp"
+#include "spec_bench.hpp"
 
 int
 main()
 {
     using namespace qccd;
 
-    const std::vector<std::string> apps{"bv", "qft"};
-    const std::vector<int> caps{14, 22, 30};
-    const std::vector<std::string> topologies{"linear:6", "ring:6",
-                                              "star:6", "htree:3"};
-
-    // One engine across all families: each app lowers once and every
-    // family's points share the worker pool.
-    SweepEngine engine;
-    std::vector<SweepPoint> all;
-    for (const std::string &topo : topologies) {
-        const auto points =
-            sweepCapacity(engine, apps, caps, [&](int cap) {
-                DesignPoint dp;
-                dp.topologySpec = topo;
-                dp.trapCapacity = cap;
-                return dp;
-            });
-        all.insert(all.end(), points.begin(), points.end());
-    }
+    const bench::SpecRows rows = bench::runSpec("topology_families.sweep");
 
     std::cout << "=== Topology families: L6 vs ring:6 / star:6 / "
                  "htree:3 (FM, GS) ===\n\n";
-    for (const std::string &topo : topologies) {
-        std::vector<SweepPoint> series;
-        for (const SweepPoint &p : all)
-            if (p.design.topologySpec == topo)
-                series.push_back(p);
+    // One series per family, in spec order.
+    for (auto it = rows.points.begin(); it != rows.points.end();) {
+        const std::string topo = it->design.topologySpec;
+        const auto end = std::find_if(it, rows.points.end(),
+                                      [&](const SweepPoint &p) {
+                                          return p.design.topologySpec !=
+                                                 topo;
+                                      });
         std::cout << "--- " << topo << ": runtime (s) ---\n"
-                  << seriesTable(series, metricTimeSeconds,
+                  << seriesTable({it, end}, metricTimeSeconds,
                                  topo + " time[s]")
                   << "\n";
+        it = end;
     }
 
-    writeTextFile(toCsv(all), "topology_families.csv");
-    std::cout << "wrote topology_families.csv (" << all.size()
-              << " rows)\n";
+    bench::writeCsv(rows);
     return 0;
 }

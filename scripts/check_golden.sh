@@ -2,9 +2,11 @@
 # Verify the figure/ablation pipelines still produce bit-identical
 # metrics to the committed golden CSVs (golden/), through BOTH paths:
 #
-#   1. the compiled benches (bench/<name> writes <name>.csv), and
-#   2. the declarative sweep specs (qccd_explore --sweep
-#      examples/sweeps/<spec>.sweep writes <spec name>.csv),
+#   1. the figure benches (bench/<name> runs its committed
+#      examples/sweeps/ spec in-process through SweepSpecRunner, prints
+#      its tables, and writes <name>.csv with toCsv), and
+#   2. the CLI (qccd_explore --sweep examples/sweeps/<spec>.sweep
+#      streams <spec name>.csv through its row writer),
 #
 # plus sharded spec runs whose concatenated outputs must reproduce the
 # unsharded files byte-for-byte, and a cold+warm result-cache pass over
@@ -13,8 +15,8 @@
 # simulator's arithmetic or the export format — intended metric changes
 # must regenerate the golden files in the same commit. Every golden CSV
 # must be covered by at least one path; spec-only scenarios (e.g. the
-# gate-fidelity sensitivity sweep) have no bench and are checked via
-# their spec alone.
+# gate-fidelity sensitivity sweep) have no bench and are checked by
+# path 2 alone.
 #
 # Usage: scripts/check_golden.sh [BUILD_DIR]
 #
@@ -80,7 +82,7 @@ trap 'rm -rf "$scratch"' EXIT
 failures=0
 covered=""
 
-# --- Path 1: compiled benches ---------------------------------------
+# --- Path 1: figure benches (in-process spec runs) -------------------
 mkdir -p "$scratch/bench"
 for golden_csv in "${golden_files[@]}"; do
     name=$(basename "$golden_csv" .csv)
@@ -102,7 +104,7 @@ for golden_csv in "${golden_files[@]}"; do
     fi
 done
 
-# --- Path 2: declarative sweep specs --------------------------------
+# --- Path 2: qccd_explore --sweep over every spec ------------------
 mkdir -p "$scratch/spec"
 for sweep in "$SWEEP_DIR"/*.sweep; do
     spec=$(basename "$sweep")

@@ -233,10 +233,40 @@ JsonParser::parseString()
           case 'n': out.push_back('\n'); break;
           case 't': out.push_back('\t'); break;
           case 'r': out.push_back('\r'); break;
+          case 'u': appendUnicodeEscape(out); break;
           default:
             fail(line_, column_,
                  std::string("unsupported escape '\\") + esc + "'");
         }
+    }
+}
+
+void
+JsonParser::appendUnicodeEscape(std::string &out)
+{
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+        check(!atEnd(), "unterminated escape sequence");
+        const char h = advance();
+        const int digit = h >= '0' && h <= '9'   ? h - '0'
+                          : h >= 'a' && h <= 'f' ? h - 'a' + 10
+                          : h >= 'A' && h <= 'F' ? h - 'A' + 10
+                                                 : -1;
+        check(digit >= 0, "\\u needs four hex digits");
+        code = code * 16 + static_cast<unsigned>(digit);
+    }
+    // UTF-8; surrogate pairs (non-BMP characters) are not supported.
+    check(code < 0xD800 || code > 0xDFFF,
+          "unsupported surrogate escape in string");
+    if (code < 0x80) {
+        out.push_back(static_cast<char>(code));
+    } else if (code < 0x800) {
+        out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+        out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    } else {
+        out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+        out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+        out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
     }
 }
 

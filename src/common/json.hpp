@@ -39,8 +39,7 @@ struct JsonValue
 
     Kind kind = Kind::Null;
     // Members keep declaration order: grid axes expand in the order the
-    // file declares them, which is what lets a spec reproduce a
-    // compiled bench's exact row order.
+    // file declares them, which fixes a spec's row order.
     std::vector<std::pair<std::string, JsonValue>> members;
     std::vector<JsonValue> items;
     std::string text;
@@ -91,6 +90,8 @@ class JsonParser
     bool atEnd() const { return pos_ >= src_.size(); }
     char peek() const { return src_[pos_]; }
     char advance();
+    /** The four hex digits of a 'u' escape, appended as UTF-8. */
+    void appendUnicodeEscape(std::string &out);
     void skipSpace();
     JsonValue parseValue(int depth);
     void parseObject(JsonValue &value, int depth);

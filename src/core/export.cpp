@@ -60,8 +60,8 @@ makeRow(const SweepPoint &p)
     return row;
 }
 
-/** JSON string escape: application labels and topology specs can carry
- *  arbitrary user text (e.g. a QASM file stem with a quote in it). */
+} // namespace
+
 std::string
 jsonEscape(const std::string &text)
 {
@@ -86,8 +86,6 @@ jsonEscape(const std::string &text)
     }
     return out;
 }
-
-} // namespace
 
 ExportFormat
 exportFormatFromName(const std::string &name)

@@ -28,6 +28,11 @@ enum class ExportFormat
 /** Parse "csv" / "json"; throws ConfigError on anything else. */
 ExportFormat exportFormatFromName(const std::string &name);
 
+/** Escape @p text for a JSON string literal: application labels,
+ *  topology specs and file paths can carry arbitrary user text (e.g. a
+ *  QASM file name with a quote in it). */
+std::string jsonEscape(const std::string &text);
+
 /** The CSV header line (no trailing newline). Columns: application,
  *  topology, capacity, gate, reorder, time_s, compute_s, comm_s,
  *  fidelity, log_fidelity, max_energy_quanta, ms_gates, reorder_ms,

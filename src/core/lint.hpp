@@ -20,7 +20,8 @@
  *    [unknown-app, unknown-gate, unknown-reorder, unknown-policy], bad
  *    topology specs [bad-topology], empty `qasm:`/`topo:` paths
  *    [missing-file], capacity and buffer bounds [bad-capacity,
- *    bad-buffer], and the expansion cap [grid-too-large].
+ *    bad-buffer], out-of-range model parameters [bad-param-value],
+ *    and the expansion cap [grid-too-large].
  *  - `.sweep` analysis the parser leaves to run time: `qasm:`/`topo:`
  *    files that do not exist [missing-file], QASM that does not parse
  *    [bad-qasm], devices that fail to build [bad-topology],

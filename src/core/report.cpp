@@ -104,4 +104,29 @@ seriesTable(const std::vector<SweepPoint> &points, MetricFn metric,
     return table.render();
 }
 
+std::string
+rankingTable(std::vector<SweepPoint> points, size_t show)
+{
+    std::erase_if(points, [](const SweepPoint &p) { return !p.ok(); });
+    std::stable_sort(points.begin(), points.end(),
+                     [](const SweepPoint &a, const SweepPoint &b) {
+                         const double fa = a.result.sim.logFidelity;
+                         const double fb = b.result.sim.logFidelity;
+                         if (fa != fb)
+                             return fa > fb;
+                         return a.result.totalTime() <
+                                b.result.totalTime();
+                     });
+    TextTable table;
+    table.addRow({"rank", "design", "fidelity", "log-fid", "time (s)"});
+    for (size_t i = 0; i < std::min(show, points.size()); ++i) {
+        const RunResult &r = points[i].result;
+        table.addRow({std::to_string(i + 1), points[i].design.label(),
+                      formatSci(r.fidelity(), 3),
+                      formatSig(r.sim.logFidelity, 4),
+                      formatSig(r.totalTime() / kSecondUs, 4)});
+    }
+    return table.render();
+}
+
 } // namespace qccd

@@ -1,7 +1,7 @@
 /**
  * @file
- * Report formatting for toolflow results: one-line run summaries and
- * paper-style series tables keyed by capacity.
+ * Report formatting for toolflow results: one-line run summaries,
+ * paper-style series tables keyed by capacity, and design rankings.
  */
 
 #ifndef QCCD_CORE_REPORT_HPP
@@ -38,6 +38,13 @@ double metricComputeTimeSeconds(const RunResult &r);
 std::string seriesTable(const std::vector<SweepPoint> &points,
                         MetricFn metric, const std::string &metric_name,
                         bool scientific = false);
+
+/**
+ * Rank the Ok points of @p points best first (highest log fidelity,
+ * then shortest runtime, then input order) and render the top @p show
+ * as a table of design, fidelity, log fidelity and runtime.
+ */
+std::string rankingTable(std::vector<SweepPoint> points, size_t show);
 
 } // namespace qccd
 

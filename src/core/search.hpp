@@ -55,8 +55,7 @@ class SweepEngine;
 
 /**
  * A lazily addressable candidate space: the search needs only its
- * size and random access to points. SweepPlan and plain point vectors
- * (the --recommend path) adapt below.
+ * size and random access to points. A SweepPlan adapts below.
  */
 class SearchSpace
 {
@@ -79,24 +78,6 @@ class PlanSearchSpace : public SearchSpace
 
   private:
     const SweepPlan *plan_;
-};
-
-/** SearchSpace over an explicit point list. */
-class PointsSearchSpace : public SearchSpace
-{
-  public:
-    explicit PointsSearchSpace(const std::vector<PlannedPoint> &points)
-        : points_(&points)
-    {
-    }
-    size_t size() const override { return points_->size(); }
-    PlannedPoint point(size_t index) const override
-    {
-        return (*points_)[index];
-    }
-
-  private:
-    const std::vector<PlannedPoint> *points_;
 };
 
 /** How a search run is configured (spec "search" block + CLI flags). */

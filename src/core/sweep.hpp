@@ -1,26 +1,23 @@
 /**
  * @file
- * Design-space sweep helpers used by the benchmark harnesses.
- *
- * The paper sweeps trap capacity 14-34 (Figs. 6-8), two topologies
- * (Fig. 7) and eight microarchitecture combinations (Fig. 8); these
- * helpers run the toolflow over such grids and collect rows.
+ * The sweep sample: one evaluated design point (SweepPoint) and how its
+ * evaluation ended (PointOutcome). Scenarios are declared as `.sweep`
+ * specs and evaluated by SweepSpecRunner (core/sweep_spec.hpp), which
+ * drives a SweepEngine (core/sweep_engine.hpp); the figure benches,
+ * `qccd_explore --sweep`/`--search`/`--recommend` and the exporters all
+ * exchange results as SweepPoints.
  */
 
 #ifndef QCCD_CORE_SWEEP_HPP
 #define QCCD_CORE_SWEEP_HPP
 
 #include <exception>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "core/toolflow.hpp"
 
 namespace qccd
 {
-
-class SweepEngine;
 
 /**
  * How one design point's evaluation ended. The taxonomy mirrors the
@@ -63,40 +60,6 @@ struct SweepPoint
 
     bool ok() const { return outcome == PointOutcome::Ok; }
 };
-
-/** The paper's capacity sweep values (x axes of Figs. 6-8). */
-std::vector<int> paperCapacities();
-
-/**
- * Run @p make_design over every (application, capacity) pair.
- *
- * Evaluation goes through a SweepEngine: points run across a worker
- * pool (sized by QCCD_JOBS, default hardware concurrency) with each
- * application lowered once and Topology/PathFinder state shared between
- * points of the same architecture. Results are in (app, capacity)
- * order regardless of worker count.
- *
- * @param apps application names resolved via makeBenchmark()
- * @param capacities trap capacities to sweep
- * @param make_design builds the design point for one capacity
- * @param options toolflow options applied to every run
- */
-std::vector<SweepPoint>
-sweepCapacity(const std::vector<std::string> &apps,
-              const std::vector<int> &capacities,
-              const std::function<DesignPoint(int)> &make_design,
-              const RunOptions &options = {});
-
-/**
- * Like sweepCapacity above but reuses a caller-owned @p engine, so
- * consecutive sweeps (e.g. Fig. 7's linear and grid passes) share the
- * engine's circuit and context caches.
- */
-std::vector<SweepPoint>
-sweepCapacity(SweepEngine &engine, const std::vector<std::string> &apps,
-              const std::vector<int> &capacities,
-              const std::function<DesignPoint(int)> &make_design,
-              const RunOptions &options = {});
 
 } // namespace qccd
 

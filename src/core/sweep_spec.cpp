@@ -286,7 +286,7 @@ class SpecBuilder
         if (!expect(value, JsonValue::Kind::Object, "\"params\""))
             return {};
         std::vector<std::pair<std::string, double>> overrides;
-        HardwareParams scratch; // name and integrality check now
+        HardwareParams scratch; // names, integrality and ranges now
         for (const auto &[param, pv] : value.members) {
             if (pv.kind != JsonValue::Kind::Number) {
                 failKind(pv, JsonValue::Kind::Number,
@@ -307,7 +307,11 @@ class SpecBuilder
                      pv, err.what());
             }
         }
-        if (overrides.size() != value.members.size()) // lint mode
+        // Every parameter has its own range, so validating the
+        // overrides on default params is what each point would do.
+        if (overrides.size() != value.members.size() || // lint mode
+            !lookupAt("bad-param-value", value,
+                      [&] { scratch.validate(); }))
             return {};
         return [overrides = std::move(overrides)](PlannedPoint &point) {
             for (const auto &[param, number] : overrides)
@@ -679,8 +683,6 @@ SweepSpecRunner::SweepSpecRunner(SweepEngine &engine) : engine_(engine)
 std::shared_ptr<const Circuit>
 SweepSpecRunner::circuitFor(const PlannedPoint &point)
 {
-    if (point.native != nullptr)
-        return point.native;
     if (point.qasmPath.empty())
         return engine_.nativeBenchmark(point.application);
     auto it = qasmCache_.find(point.qasmPath);
@@ -880,12 +882,20 @@ SweepSpecRunner::run(const std::vector<PlannedPoint> &points, size_t skip,
     return stats;
 }
 
-void
-SweepSpecRunner::run(const std::vector<PlannedPoint> &points, size_t skip,
-                     const std::function<void(const SweepPoint &)> &emit,
-                     size_t batch_size)
+std::vector<SweepPoint>
+SweepSpecRunner::collect(const std::vector<PlannedPoint> &points,
+                         const SweepRunPolicy &policy,
+                         SweepRunStats *stats, size_t skip,
+                         size_t batch_size)
 {
-    run(points, skip, emit, SweepRunPolicy{}, batch_size);
+    std::vector<SweepPoint> rows;
+    rows.reserve(points.size() - std::min(skip, points.size()));
+    const SweepRunStats run_stats = run(
+        points, skip, [&](const SweepPoint &p) { rows.push_back(p); },
+        policy, batch_size);
+    if (stats != nullptr)
+        *stats = run_stats;
+    return rows;
 }
 
 } // namespace qccd

@@ -1,7 +1,8 @@
 /**
  * @file
- * Declarative sweep specifications: run any design-space scenario from
- * a file instead of a compiled-in bench.
+ * Declarative sweep specifications: every design-space scenario is a
+ * file. The figure benches, `qccd_explore --sweep`/`--search` and the
+ * built-in `--recommend` space all run specs.
  *
  * A `.sweep` file is a small JSON document (hand-rolled parser, no
  * dependencies; `#` comments and trailing commas are allowed) that
@@ -25,7 +26,7 @@
  * Every grid key except "options" accepts either a scalar (fixed for
  * the whole grid) or an array (a sweep axis). Axes expand as nested
  * loops in declaration order — the first array declared varies slowest
- * — so a spec can reproduce any compiled bench's row order exactly.
+ * — so a spec fixes its row order exactly.
  * "params" values are objects mapping model-parameter names (the
  * paper's sensitivity axes: gate fidelity constants, heating rates,
  * shuttle timings) to numbers; an array of such objects sweeps
@@ -55,8 +56,8 @@
  * index order is byte-identical to the unsharded run) and append/resume
  * (completed rows already in the output CSV are skipped). Rows stream
  * through SweepRowWriter (core/export.hpp), the same formatting path
- * the figure benches use, so a spec-driven reproduction of a bench is
- * bit-identical to the compiled bench.
+ * as the figure benches' toCsv, so `--sweep` and a bench write the
+ * same bytes for the same spec.
  */
 
 #ifndef QCCD_CORE_SWEEP_SPEC_HPP
@@ -90,14 +91,6 @@ struct PlannedPoint
 
     /** Path of the QASM source; empty for builtin applications. */
     std::string qasmPath;
-
-    /**
-     * Already-lowered circuit, set by callers that build points
-     * programmatically around a circuit with no spec name (the
-     * --recommend path). When set it wins over application/qasmPath
-     * for evaluation; `application` stays the row label.
-     */
-    std::shared_ptr<const Circuit> native;
 
     DesignPoint design;
     RunOptions options;
@@ -387,18 +380,24 @@ class SweepSpecRunner
         const SweepRunPolicy &policy,
         size_t batch_size = kDefaultBatchSize);
 
-    /** Rethrow-first convenience overload (default policy). */
-    void run(const std::vector<PlannedPoint> &points, size_t skip,
-             const std::function<void(const SweepPoint &)> &emit,
-             size_t batch_size = kDefaultBatchSize);
+    /**
+     * run() that collects: every emitted point, in input order. The
+     * figure benches and tests take a spec's rows through this.
+     *
+     * @param stats receives the run's counters when non-null
+     */
+    std::vector<SweepPoint>
+    collect(const std::vector<PlannedPoint> &points,
+            const SweepRunPolicy &policy = {},
+            SweepRunStats *stats = nullptr, size_t skip = 0,
+            size_t batch_size = kDefaultBatchSize);
 
     /** Points handed to the engine per run() batch by default. */
     static constexpr size_t kDefaultBatchSize = 64;
 
     /** Resolve a point's lowered circuit (builtin via the engine's
-     *  cache, QASM via this runner's; point.native wins when set).
-     *  Public so the search layer reuses the same caches for feature
-     *  extraction. */
+     *  cache, QASM via this runner's). Public so the search layer
+     *  reuses the same caches for feature extraction. */
     std::shared_ptr<const Circuit> circuitFor(const PlannedPoint &point);
 
   private:

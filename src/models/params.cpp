@@ -1,5 +1,7 @@
 #include "models/params.hpp"
 
+#include <limits>
+
 #include "common/error.hpp"
 
 namespace qccd
@@ -97,11 +99,14 @@ applyHardwareOverride(HardwareParams &params, const std::string &key,
         if (entry.doubleField) {
             params.*entry.doubleField = value;
         } else {
-            const int integral = static_cast<int>(value);
-            if (static_cast<double>(integral) != value) [[unlikely]]
+            // Range first: casting an out-of-range double is undefined.
+            if (!(value >= std::numeric_limits<int>::min() &&
+                  value <= std::numeric_limits<int>::max()) ||
+                static_cast<double>(static_cast<int>(value)) != value)
+                [[unlikely]]
                 raiseConfigError("parameter '" + key +
                                  "' takes an integer value");
-            params.*entry.intField = integral;
+            params.*entry.intField = static_cast<int>(value);
         }
         return;
     }

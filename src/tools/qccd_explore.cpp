@@ -42,7 +42,6 @@
 #include "common/error.hpp"
 #include "compiler/mapping.hpp"
 #include "core/export.hpp"
-#include "core/recommend.hpp"
 #include "core/report.hpp"
 #include "core/result_store.hpp"
 #include "core/resume.hpp"
@@ -130,6 +129,106 @@ printUsage()
         "                    --point-timeout-ms apply as in --sweep)\n";
 }
 
+/**
+ * The result store of a --sweep or --search run: --cache wins over the
+ * spec's "cache" option. Grids that declare different stores for the
+ * points [first, last) a run evaluates are a contradiction we refuse
+ * rather than guess about.
+ */
+std::string
+resolveCachePath(const std::string &cli_path, bool verify,
+                 const SweepPlan &plan, size_t first, size_t last)
+{
+    std::string cache_path = cli_path;
+    size_t start = 0;
+    for (const SweepGrid &grid : plan.grids) {
+        // "cache" is a grid option, so the grid bases carry it.
+        const std::string &declared = grid.base().options.cachePath;
+        const bool covered = start < last && first < start + grid.size();
+        start += grid.size();
+        if (!cli_path.empty() || !covered || declared.empty())
+            continue;
+        fatalUnless(cache_path.empty() || cache_path == declared,
+                    "sweep spec declares conflicting cache paths "
+                    "('" + cache_path + "' vs '" + declared +
+                        "'); use one, or override with --cache");
+        cache_path = declared;
+    }
+    fatalUnless(!verify || !cache_path.empty(),
+                "--cache-verify requires a result store (--cache FILE "
+                "or the spec's \"cache\" option)");
+    return cache_path;
+}
+
+/**
+ * Open the store at @p path (none when empty). Refusals (wrong magic,
+ * version skew, live lock owner) are ConfigErrors and abort the run;
+ * anything else — an I/O failure or an injected cache.open fault —
+ * degrades to a cold run, which by contract produces the same bytes.
+ */
+std::unique_ptr<ResultStore>
+openResultStore(const std::string &path)
+{
+    if (path.empty())
+        return nullptr;
+    try {
+        return std::make_unique<ResultStore>(path);
+    } catch (const ConfigError &) {
+        throw;
+    } catch (const std::exception &err) {
+        std::cerr << "warning: result cache disabled (open failed: "
+                  << err.what() << "); continuing without it\n";
+    }
+    return nullptr;
+}
+
+/**
+ * Print a run's greppable provenance lines: "staged:" (how many points
+ * paid a full schedule vs. rode a model-log replay) and, with a store,
+ * "cache:" (check_golden.sh uses it to refuse blessing goldens from a
+ * warm run, and the CI cache job asserts hit/miss counts). A divergent
+ * cache audit is reported on stderr; returns false then.
+ */
+bool
+reportRunCounters(const SweepRunStats &stats, const ResultStore *store,
+                  bool verify)
+{
+    std::cout << "staged: " << stats.fullSchedules << " full, "
+              << stats.replays << " replayed\n";
+    if (store != nullptr) {
+        const ResultStoreStats &cs = store->stats();
+        std::cout << "cache: " << store->path() << " hits=" << cs.hits
+                  << " misses=" << cs.misses
+                  << " inserts=" << cs.inserts
+                  << " loaded=" << cs.loaded
+                  << " quarantined=" << cs.quarantined
+                  << " healed=" << (cs.healedTail ? 1 : 0);
+        if (verify)
+            std::cout << " divergent=" << stats.cacheDivergent;
+        std::cout << "\n";
+    }
+    if (stats.cacheDivergent == 0)
+        return true;
+    std::cerr << "error: result cache '"
+              << (store != nullptr ? store->path() : "") << "' has "
+              << stats.cacheDivergent
+              << " divergent record(s); the emitted rows are the "
+                 "recomputed ones — rebuild the cache file\n";
+    return false;
+}
+
+/** Greppable search provenance ("^search:"): CI asserts evaluated
+ *  stays within the budget fraction of the declared space. */
+void
+printSearchStats(const SearchStats &stats)
+{
+    std::cout << "search: space=" << stats.space
+              << " budget=" << stats.budget
+              << " evaluated=" << stats.evaluated
+              << " calibration=" << stats.calibration
+              << " rungs=" << stats.rungs << "\n";
+}
+
 /** Everything --sweep mode needs beyond the shared engine knobs. */
 struct SweepCliOptions
 {
@@ -148,7 +247,7 @@ struct SweepCliOptions
 int
 runSweepMode(const std::string &sweep_file, SweepCliOptions cli)
 {
-    const SweepSpec spec = parseSweepSpecFile(sweep_file);
+    const SweepPlan plan = parseSweepPlanFile(sweep_file);
     std::string out_file = cli.outFile;
 
     ExportFormat format = ExportFormat::Csv;
@@ -165,7 +264,7 @@ runSweepMode(const std::string &sweep_file, SweepCliOptions cli)
         // Sharded runs get distinct default names: with a shared
         // default, shard 1 would truncate shard 0's freshly written
         // output in the same directory.
-        std::string stem = spec.name;
+        std::string stem = plan.name;
         if (shard.count > 1)
             stem += ".shard" + std::to_string(shard.index) + "of" +
                     std::to_string(shard.count);
@@ -180,52 +279,21 @@ runSweepMode(const std::string &sweep_file, SweepCliOptions cli)
                 "--keep-going requires CSV output (the .errors "
                 "sidecar is CSV)");
 
+    const size_t total = plan.size();
     const auto [first, last] =
-        shardRange(spec.points.size(), shard.index, shard.count);
-    std::vector<PlannedPoint> slice(
-        spec.points.begin() + static_cast<long>(first),
-        spec.points.begin() + static_cast<long>(last));
-    if (cli.pointTimeoutMs > 0)
-        for (PlannedPoint &point : slice)
-            point.options.pointTimeoutMs = cli.pointTimeoutMs;
-
-    // Resolve the result store: --cache wins over the spec's "cache"
-    // option; grids declaring different stores for one run is a
-    // contradiction we refuse rather than guess about.
-    std::string cache_path = cli.cachePath;
-    if (cache_path.empty()) {
-        for (const PlannedPoint &point : slice) {
-            if (point.options.cachePath.empty())
-                continue;
-            fatalUnless(cache_path.empty() ||
-                            cache_path == point.options.cachePath,
-                        "sweep spec declares conflicting cache paths "
-                        "('" + cache_path + "' vs '" +
-                            point.options.cachePath +
-                            "'); use one, or override with --cache");
-            cache_path = point.options.cachePath;
-        }
+        shardRange(total, shard.index, shard.count);
+    std::vector<PlannedPoint> slice;
+    slice.reserve(last - first);
+    for (size_t i = first; i < last; ++i) {
+        slice.push_back(plan.point(i));
+        if (cli.pointTimeoutMs > 0)
+            slice.back().options.pointTimeoutMs = cli.pointTimeoutMs;
     }
-    fatalUnless(!cli.cacheVerify || !cache_path.empty(),
-                "--cache-verify requires a result store (--cache FILE "
-                "or the spec's \"cache\" option)");
 
-    // Refusals (wrong magic, version skew, live lock owner) are
-    // ConfigErrors and abort the run; anything else — an I/O failure
-    // or an injected cache.open fault — degrades to a cold run, which
-    // by contract produces the same bytes.
-    std::unique_ptr<ResultStore> store;
-    if (!cache_path.empty()) {
-        try {
-            store = std::make_unique<ResultStore>(cache_path);
-        } catch (const ConfigError &) {
-            throw;
-        } catch (const std::exception &err) {
-            std::cerr << "warning: result cache disabled (open "
-                         "failed: "
-                      << err.what() << "); continuing without it\n";
-        }
-    }
+    const std::string cache_path = resolveCachePath(
+        cli.cachePath, cli.cacheVerify, plan, first, last);
+    const std::unique_ptr<ResultStore> store =
+        openResultStore(cache_path);
 
     // Shard 0 owns the header so that concatenating shard files in
     // index order reproduces the unsharded export byte-for-byte.
@@ -239,8 +307,7 @@ runSweepMode(const std::string &sweep_file, SweepCliOptions cli)
         std::remove(errors_path.c_str()); // stale sidecar of an old run
     const size_t done = state.done;
 
-    std::cout << "sweep " << spec.name << ": " << spec.points.size()
-              << " points";
+    std::cout << "sweep " << plan.name << ": " << total << " points";
     if (shard.count > 1)
         std::cout << ", shard " << shard.index << "/" << shard.count
                   << " covers [" << first << ", " << last << ")";
@@ -314,33 +381,8 @@ runSweepMode(const std::string &sweep_file, SweepCliOptions cli)
                    policy);
     writer.finish();
 
-    // Greppable staged-evaluation provenance ("^staged:"): how many
-    // points paid a full schedule vs. rode a model-log replay.
-    std::cout << "staged: " << stats.fullSchedules << " full, "
-              << stats.replays << " replayed\n";
-
-    if (store != nullptr) {
-        // One greppable provenance line per cached run ("^cache:"):
-        // check_golden.sh uses it to refuse blessing goldens from a
-        // warm run, and the CI cache job asserts hit/miss counts.
-        const ResultStoreStats &cs = store->stats();
-        std::cout << "cache: " << store->path() << " hits=" << cs.hits
-                  << " misses=" << cs.misses
-                  << " inserts=" << cs.inserts
-                  << " loaded=" << cs.loaded
-                  << " quarantined=" << cs.quarantined
-                  << " healed=" << (cs.healedTail ? 1 : 0);
-        if (cli.cacheVerify)
-            std::cout << " divergent=" << stats.cacheDivergent;
-        std::cout << "\n";
-    }
-    if (stats.cacheDivergent > 0) {
-        std::cerr << "error: result cache '" << cache_path << "' has "
-                  << stats.cacheDivergent
-                  << " divergent record(s); the emitted rows are the "
-                     "recomputed ones — rebuild the cache file\n";
+    if (!reportRunCounters(stats, store.get(), cli.cacheVerify))
         return 1;
-    }
 
     if (stats.aborted) {
         std::cerr << "error: stopping after " << stats.failed
@@ -399,38 +441,10 @@ int
 runSearchMode(const std::string &search_file, SearchCliOptions cli)
 {
     const SweepPlan plan = parseSweepPlanFile(search_file);
-
-    // Resolve the result store exactly like --sweep: the CLI flag wins
-    // over the spec's "cache" option (a grid-level option, so the grid
-    // bases carry it — no need to expand the space to find it).
-    std::string cache_path = cli.cachePath;
-    if (cache_path.empty()) {
-        for (const SweepGrid &grid : plan.grids) {
-            const std::string &declared = grid.base().options.cachePath;
-            if (declared.empty())
-                continue;
-            fatalUnless(cache_path.empty() || cache_path == declared,
-                        "sweep spec declares conflicting cache paths "
-                        "('" + cache_path + "' vs '" + declared +
-                            "'); use one, or override with --cache");
-            cache_path = declared;
-        }
-    }
-    fatalUnless(!cli.cacheVerify || !cache_path.empty(),
-                "--cache-verify requires a result store (--cache FILE "
-                "or the spec's \"cache\" option)");
-    std::unique_ptr<ResultStore> store;
-    if (!cache_path.empty()) {
-        try {
-            store = std::make_unique<ResultStore>(cache_path);
-        } catch (const ConfigError &) {
-            throw;
-        } catch (const std::exception &err) {
-            std::cerr << "warning: result cache disabled (open "
-                         "failed: "
-                      << err.what() << "); continuing without it\n";
-        }
-    }
+    const std::string cache_path = resolveCachePath(
+        cli.cachePath, cli.cacheVerify, plan, 0, plan.size());
+    const std::unique_ptr<ResultStore> store =
+        openResultStore(cache_path);
 
     SearchOptions options;
     options.budget = cli.budget != 0 ? cli.budget : plan.search.budget;
@@ -466,41 +480,72 @@ runSearchMode(const std::string &search_file, SearchCliOptions cli)
             writer.write(ev.point);
     writer.finish();
 
-    const SearchStats &stats = outcome.stats;
-    std::cout << "staged: " << stats.run.fullSchedules << " full, "
-              << stats.run.replays << " replayed\n";
-    if (store != nullptr) {
-        const ResultStoreStats &cs = store->stats();
-        std::cout << "cache: " << store->path() << " hits=" << cs.hits
-                  << " misses=" << cs.misses
-                  << " inserts=" << cs.inserts
-                  << " loaded=" << cs.loaded
-                  << " quarantined=" << cs.quarantined
-                  << " healed=" << (cs.healedTail ? 1 : 0);
-        if (cli.cacheVerify)
-            std::cout << " divergent=" << stats.run.cacheDivergent;
-        std::cout << "\n";
-    }
-
-    // Greppable provenance ("^search:"): CI asserts evaluated stays
-    // within the budget fraction of the declared space.
-    std::cout << "search: space=" << stats.space
-              << " budget=" << stats.budget
-              << " evaluated=" << stats.evaluated
-              << " calibration=" << stats.calibration
-              << " rungs=" << stats.rungs << "\n";
+    const bool consistent =
+        reportRunCounters(outcome.stats.run, store.get(), cli.cacheVerify);
+    printSearchStats(outcome.stats);
     fatalUnless(outcome.haveWinner, "search produced no result");
     std::cout << "winner: " << sweepCsvRow(outcome.winner) << "\n";
     std::cout << "wrote " << writer.rowsWritten() << " rows to "
               << report_file << "\n";
+    return consistent ? 0 : 1;
+}
 
-    if (stats.run.cacheDivergent > 0) {
-        std::cerr << "error: result cache '" << cache_path << "' has "
-                  << stats.run.cacheDivergent
-                  << " divergent record(s); the emitted rows are the "
-                     "recomputed ones — rebuild the cache file\n";
-        return 1;
+/**
+ * --recommend: the paper's candidate space (Sections IX-X: L6 and
+ * G2x3, capacity 14-34, every gate implementation and reordering
+ * method) for one application, declared as a built-in `.sweep` and
+ * searched like --search. Each topology's grid lists only the
+ * capacities whose device holds the circuit.
+ *
+ * @param app the spec's application: a builtin name or "qasm:FILE"
+ */
+int
+runRecommendMode(const Circuit &circuit, const std::string &app, int jobs)
+{
+    SweepEngine engine(jobs);
+    std::string grids;
+    for (const char *topology : {"linear:6", "grid:2x3"}) {
+        std::string capacities;
+        for (const int capacity : {14, 18, 22, 26, 30, 34}) {
+            DesignPoint design;
+            design.topologySpec = topology;
+            design.trapCapacity = capacity;
+            // The shared context answers the fit check and is reused
+            // by the evaluations.
+            if (engine.context(design)->topology().totalCapacity() >=
+                circuit.numQubits())
+                capacities += (capacities.empty() ? "" : ", ") +
+                              std::to_string(capacity);
+        }
+        if (capacities.empty())
+            continue; // an empty axis is a spec error
+        grids += std::string(grids.empty() ? "" : ",\n") +
+                 "  {\"apps\": \"" + jsonEscape(app) +
+                 "\", \"topology\": \"" + topology +
+                 "\", \"capacity\": [" + capacities +
+                 "],\n   \"gate\": [\"AM1\", \"AM2\", \"PM\", \"FM\"],"
+                 " \"reorder\": [\"GS\", \"IS\"]}";
     }
+    fatalUnless(!grids.empty(),
+                "no candidate design fits the application");
+    const SweepPlan plan = parseSweepPlan(
+        "{\"name\": \"recommend\", \"sweeps\": [\n" + grids + "]}",
+        "recommend");
+
+    // Surrogate-guided: only the predicted frontier (a quarter of the
+    // space) is really simulated.
+    std::cout << "searching " << plan.size()
+              << " candidate designs on "
+              << SweepEngine::resolveJobs(jobs) << " workers...\n";
+    SearchEngine search(engine);
+    const SearchOutcome outcome = search.run(PlanSearchSpace(plan), {});
+    std::vector<SweepPoint> evaluated;
+    evaluated.reserve(outcome.evaluations.size());
+    for (const SearchEvaluation &ev : outcome.evaluations)
+        evaluated.push_back(ev.point);
+    printSearchStats(outcome.stats);
+    std::cout << rankingTable(std::move(evaluated), 10);
+    std::cout << "recommended: " << outcome.winner.design.label() << "\n";
     return 0;
 }
 
@@ -737,73 +782,10 @@ main(int argc, char **argv)
                   << stats.twoQubitGates << " 2q gates, pattern: "
                   << stats.patternLabel() << ")\n";
 
-        if (recommend) {
-            // Surrogate-guided: the paper's candidate space is ranked
-            // by the cost model and only the predicted frontier is
-            // really simulated (a quarter of the fitting candidates),
-            // through the same SearchEngine as --search.
-            SweepEngine engine(jobs);
-            const auto native = SweepEngine::lower(circuit);
-            const CandidateSpace space;
-            std::vector<PlannedPoint> candidates;
-            candidates.reserve(space.size());
-            for (const std::string &topo : space.topologies) {
-                for (int cap : space.capacities) {
-                    for (GateImpl gate : space.gates) {
-                        for (ReorderMethod reorder : space.reorders) {
-                            DesignPoint dp;
-                            dp.topologySpec = topo;
-                            dp.trapCapacity = cap;
-                            dp.hw.gateImpl = gate;
-                            dp.hw.reorder = reorder;
-                            if (engine.context(dp)
-                                    ->topology()
-                                    .totalCapacity() <
-                                circuit.numQubits())
-                                continue; // application does not fit
-                            PlannedPoint point;
-                            point.application = name;
-                            point.native = native;
-                            point.design = dp;
-                            candidates.push_back(std::move(point));
-                        }
-                    }
-                }
-            }
-            fatalUnless(!candidates.empty(),
-                        "no candidate design fits the application");
-            std::cout << "searching " << candidates.size()
-                      << " candidate designs on "
-                      << SweepEngine::resolveJobs(jobs)
-                      << " workers...\n";
-            SearchEngine search(engine);
-            const SearchOutcome outcome =
-                search.run(PointsSearchSpace(candidates), {});
-            std::vector<RankedDesign> ranking;
-            ranking.reserve(outcome.evaluations.size());
-            for (const SearchEvaluation &ev : outcome.evaluations)
-                if (ev.point.ok())
-                    ranking.emplace_back(ev.point.design,
-                                         ev.point.result);
-            std::stable_sort(
-                ranking.begin(), ranking.end(),
-                [](const RankedDesign &a, const RankedDesign &b) {
-                    if (a.score() != b.score())
-                        return a.score() > b.score();
-                    return a.result.totalTime() <
-                           b.result.totalTime();
-                });
-            const SearchStats &stats = outcome.stats;
-            std::cout << "search: space=" << stats.space
-                      << " budget=" << stats.budget
-                      << " evaluated=" << stats.evaluated
-                      << " calibration=" << stats.calibration
-                      << " rungs=" << stats.rungs << "\n";
-            std::cout << rankingTable(ranking, 10);
-            std::cout << "recommended: "
-                      << outcome.winner.design.label() << "\n";
-            return 0;
-        }
+        if (recommend)
+            return runRecommendMode(
+                circuit, qasm_file.empty() ? app : "qasm:" + qasm_file,
+                jobs);
 
         if (analyze || !isa_file.empty()) {
             // Thread the run options through: --policy must shape the

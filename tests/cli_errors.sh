@@ -97,6 +97,19 @@ echo '{"name": "x", "sweeps": [{"apps": "qft", "buffer": [2, -1]}]}' \
 expect_error "sweep buffer bound" "buf.sweep:1:[0-9]*: .*at least 0" \
     --sweep "$scratch/buf.sweep" --out "$scratch/buf.csv"
 
+# So are model-parameter ranges: an out-of-range "params" value is
+# refused at the params object, before any point runs.
+echo '{"name": "x", "sweeps": [{"apps": "qft", "params": {"buffer_slots": -1}}]}' \
+    > "$scratch/bufparam.sweep"
+printf '{"name": "x", "sweeps": [{"apps": "qft",\n  "params": [{"recool_factor": 0.5}, {"recool_factor": 2}]}]}\n' \
+    > "$scratch/recool.sweep"
+expect_error "sweep params buffer range" \
+    "bufparam.sweep:1:52: buffer slots must be non-negative" \
+    --sweep "$scratch/bufparam.sweep" --out "$scratch/bufparam.csv"
+expect_error "sweep params recool range" \
+    "recool.sweep:2:38: recool factor must be in (0, 1]" \
+    --sweep "$scratch/recool.sweep" --out "$scratch/recool.csv"
+
 echo '{"name": "x", "sweeps": [{"apps": "qft"}]}' > "$scratch/ok.sweep"
 expect_error "bad --shard"      "shard must be"        --sweep "$scratch/ok.sweep" --shard 1-2
 expect_error "shard out of range" "shard index"        --sweep "$scratch/ok.sweep" --shard 2/2
@@ -141,6 +154,45 @@ echo '{"name": "x", "search": {"bucket": 3}, "sweeps": [{"apps": "qft"}]}' \
     > "$scratch/typosearch.sweep"
 expect_error "typo'd search key" "known: budget, eta, seed" \
     --search "$scratch/typosearch.sweep"
+
+# --recommend searches a built-in spec of the paper's candidate space:
+# {L6, G2x3} x capacity {14..34} x 4 gates x 2 reorders = 96 designs,
+# less the capacities whose device cannot hold the circuit.
+# expect_output DESCRIPTION EXPECTED_STDOUT_LINE_FRAGMENT ARGS...
+expect_output() {
+    local desc=$1 fragment=$2
+    shift 2
+    "$EXPLORE" "$@" > "$scratch/stdout" 2> "$scratch/stderr"
+    local status=$?
+    if [[ $status -ne 0 ]] || ! grep -qF "$fragment" "$scratch/stdout"; then
+        echo "FAIL: $desc: exit $status, stdout lacks '$fragment':" >&2
+        sed 's/^/    /' "$scratch/stdout" "$scratch/stderr" >&2
+        failures=$((failures + 1))
+        return
+    fi
+    echo "ok: $desc"
+}
+# wide_qasm N FILE: an N-qubit circuit with a few gates.
+wide_qasm() {
+    printf 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[%d];\ncreg c[%d];\n' \
+        "$1" "$1" > "$2"
+    printf 'h q[0];\ncx q[0], q[1];\ncx q[2], q[%d];\nmeasure q -> c;\n' \
+        $(($1 - 1)) >> "$2"
+}
+expect_output "recommend space" "search: space=96 budget=24" \
+    --app bv --recommend
+wide_qasm 100 "$scratch/wide100.qasm"
+expect_output "recommend drops capacities that do not fit" \
+    "search: space=80 budget=20" --qasm "$scratch/wide100.qasm" --recommend
+# The QASM path is embedded in the built-in spec as a JSON string.
+odd="$scratch/odd \"na\\me"$'\x01'".qasm"
+cp "$scratch/wide100.qasm" "$odd"
+expect_output "recommend escapes the QASM path" \
+    "search: space=80 budget=20" --qasm "$odd" --recommend
+wide_qasm 300 "$scratch/wide300.qasm"
+expect_error "recommend with nothing fitting" \
+    "no candidate design fits the application" \
+    --qasm "$scratch/wide300.qasm" --recommend
 
 # A bad sweep option diagnoses with the spec position, parse-time.
 echo '{"name": "x", "sweeps": [{"apps": "qft", "options": {"point_timeout_ms": 0}}]}' \
@@ -370,22 +422,24 @@ if [[ -n "$LINT" ]]; then
 
     # One schema walker: lint and the sweep runner report a bad spec at
     # the same file:line:col with the same message.
-    "$LINT" "$scratch/badtopo.sweep" 2>&1 | head -1 \
-        | sed -e 's/: error: /: /' -e 's/ \[[a-z-]*\]$//' \
-        > "$scratch/lint_said"
-    "$EXPLORE" --sweep "$scratch/badtopo.sweep" \
-        --out "$scratch/agree.csv" 2>&1 | sed 's/^error: //' \
-        > "$scratch/explore_said"
-    if [[ -s "$scratch/lint_said" ]] \
-        && grep -q "badtopo.sweep:1:[0-9]*: " "$scratch/lint_said" \
-        && cmp -s "$scratch/lint_said" "$scratch/explore_said"; then
-        echo "ok: lint and --sweep agree on a bad spec"
-    else
-        echo "FAIL: lint and --sweep disagree on badtopo.sweep:" >&2
-        sed 's/^/    lint:    /' "$scratch/lint_said" >&2
-        sed 's/^/    explore: /' "$scratch/explore_said" >&2
-        failures=$((failures + 1))
-    fi
+    for bad in badtopo bufparam recool; do
+        "$LINT" "$scratch/$bad.sweep" 2>&1 | head -1 \
+            | sed -e 's/: error: /: /' -e 's/ \[[a-z-]*\]$//' \
+            > "$scratch/lint_said"
+        "$EXPLORE" --sweep "$scratch/$bad.sweep" \
+            --out "$scratch/agree.csv" 2>&1 | sed 's/^error: //' \
+            > "$scratch/explore_said"
+        if [[ -s "$scratch/lint_said" ]] \
+            && grep -q "$bad.sweep:[0-9]*:[0-9]*: " "$scratch/lint_said" \
+            && cmp -s "$scratch/lint_said" "$scratch/explore_said"; then
+            echo "ok: lint and --sweep agree on $bad.sweep"
+        else
+            echo "FAIL: lint and --sweep disagree on $bad.sweep:" >&2
+            sed 's/^/    lint:    /' "$scratch/lint_said" >&2
+            sed 's/^/    explore: /' "$scratch/explore_said" >&2
+            failures=$((failures + 1))
+        fi
+    done
 
     echo '{"name": "ok", "sweeps": [{"apps": ["bv"]}]}' \
         > "$scratch/fine.sweep"

@@ -7,6 +7,8 @@
 
 #include "common/error.hpp"
 #include "core/export.hpp"
+#include "core/sweep_engine.hpp"
+#include "core/sweep_spec.hpp"
 
 namespace qccd
 {
@@ -16,9 +18,12 @@ namespace
 std::vector<SweepPoint>
 smallSweep()
 {
-    return sweepCapacity(
-        {"bv"}, {26, 30},
-        [](int cap) { return DesignPoint::linear(3, cap); });
+    SweepEngine engine;
+    return SweepSpecRunner(engine).collect(parseSweepSpec(R"({
+        "name": "small",
+        "sweeps": [{"apps": "bv", "topology": "linear:3",
+                    "capacity": [26, 30]}]
+    })").points);
 }
 
 TEST(Export, CsvHasHeaderAndOneRowPerPoint)

@@ -58,13 +58,7 @@ runKeepGoing(const std::vector<PlannedPoint> &points,
     SweepRunPolicy policy;
     policy.keepGoing = true;
     policy.maxErrors = max_errors;
-    std::vector<SweepPoint> out;
-    const SweepRunStats s = runner.run(
-        points, 0, [&](const SweepPoint &p) { out.push_back(p); },
-        policy);
-    if (stats != nullptr)
-        *stats = s;
-    return out;
+    return runner.collect(points, policy, stats);
 }
 
 TEST_F(FaultsTest, EveryRegisteredSiteIsIsolatedUnderKeepGoing)
@@ -148,9 +142,7 @@ TEST_F(FaultsTest, RethrowPolicyIsStillTheDefault)
     setFaultInjectSpec("toolflow.run=1");
     SweepEngine engine(1);
     SweepSpecRunner runner(engine);
-    EXPECT_THROW(
-        runner.run(twoPoints(), 0, [](const SweepPoint &) {}),
-        InternalError);
+    EXPECT_THROW(runner.collect(twoPoints()), InternalError);
 }
 
 TEST_F(FaultsTest, MaxErrorsStopsTheSweepMidBatch)

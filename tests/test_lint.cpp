@@ -187,6 +187,26 @@ TEST(LintSweep, NonIntegralIntegerParamIsBadKind)
     EXPECT_EQ(report.errorCount(), 1u) << report.toString();
 }
 
+TEST(LintSweep, OutOfRangeParamIsBadParamValue)
+{
+    // Ranges are schema too: these used to lint clean and then fail
+    // every point at run time. The finding sits at the params object.
+    const LintReport report = lintSpec(
+        "{\"name\": \"x\", \"sweeps\": [{\"apps\": [\"qft\"],\n"
+        " \"params\": [{\"recool_factor\": 1}, {\"recool_factor\": 2}]},\n"
+        " {\"apps\": [\"bv\"], \"params\": {\"buffer_slots\": -1}}]}");
+    ASSERT_EQ(report.errorCount(), 2u) << report.toString();
+    for (const LintDiagnostic &d : report.diagnostics)
+        EXPECT_EQ(d.code, "bad-param-value") << report.toString();
+    EXPECT_EQ(report.diagnostics[0].line, 2);
+    EXPECT_EQ(report.diagnostics[0].column, 35); // the second object
+    EXPECT_NE(report.diagnostics[0].message.find("recool factor"),
+              std::string::npos);
+    EXPECT_EQ(report.diagnostics[1].line, 3);
+    EXPECT_NE(report.diagnostics[1].message.find("buffer slots"),
+              std::string::npos);
+}
+
 TEST(LintSweep, GridsPastTheCapTogetherAreFlagged)
 {
     // Two 1024 x 600 grids: each fits under kMaxSweepPoints (2^20),

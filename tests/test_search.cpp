@@ -57,13 +57,7 @@ std::vector<SweepPoint>
 runExhaustive(const SweepPlan &plan)
 {
     SweepEngine engine;
-    SweepSpecRunner runner(engine);
-    std::vector<SweepPoint> results;
-    runner.run(plan.expand(), 0,
-               [&](const SweepPoint &point) {
-                   results.push_back(point);
-               });
-    return results;
+    return SweepSpecRunner(engine).collect(plan.expand());
 }
 
 /** Index the exhaustive argmax keeps: max log-fidelity, then min
@@ -297,10 +291,10 @@ TEST(SearchFuzz, AuditRowsByteIdenticalToSweepRowsOn30RandomGrids)
 
 TEST(SearchErrors, EmptySpaceThrows)
 {
-    const std::vector<PlannedPoint> empty;
+    const SweepPlan empty;
     SweepEngine engine(1);
     SearchEngine search(engine);
-    EXPECT_THROW(search.run(PointsSearchSpace(empty), {}),
+    EXPECT_THROW(search.run(PlanSearchSpace(empty), {}),
                  ConfigError);
 }
 

@@ -5,29 +5,32 @@
 #include <cmath>
 
 #include "core/report.hpp"
-#include "core/sweep.hpp"
+#include "core/sweep_engine.hpp"
+#include "core/sweep_spec.hpp"
 
 namespace qccd
 {
 namespace
 {
 
-TEST(Sweep, PaperCapacitiesMatchFigureAxes)
+/** Every point of a one-grid spec on linear:3 over @p apps and
+ *  capacities 26 and 30 (paper-scale BV has 64 qubits; three traps of
+ *  26/30 fit it). */
+std::vector<SweepPoint>
+smallSweep(const std::string &apps)
 {
-    const auto caps = paperCapacities();
-    ASSERT_EQ(caps.size(), 6u);
-    EXPECT_EQ(caps.front(), 14);
-    EXPECT_EQ(caps.back(), 34);
-    for (size_t i = 1; i < caps.size(); ++i)
-        EXPECT_EQ(caps[i] - caps[i - 1], 4);
+    SweepEngine engine;
+    return SweepSpecRunner(engine).collect(
+        parseSweepSpec("{\"name\": \"small\", \"sweeps\": [{\"apps\": " +
+                       apps +
+                       ", \"topology\": \"linear:3\", "
+                       "\"capacity\": [26, 30]}]}")
+            .points);
 }
 
 TEST(Sweep, RunsGridOfPoints)
 {
-    // Paper-scale BV has 64 qubits; three traps of 26/30 fit it.
-    const auto points = sweepCapacity(
-        {"bv"}, {26, 30},
-        [](int cap) { return DesignPoint::linear(3, cap); });
+    const auto points = smallSweep("\"bv\"");
     ASSERT_EQ(points.size(), 2u);
     EXPECT_EQ(points[0].application, "bv");
     EXPECT_EQ(points[0].design.trapCapacity, 26);
@@ -53,15 +56,42 @@ TEST(Report, SummaryMentionsKeyNumbers)
 
 TEST(Report, SeriesTableHasAppRowsAndCapacityColumns)
 {
-    const auto points = sweepCapacity(
-        {"bv", "adder"}, {26, 30},
-        [](int cap) { return DesignPoint::linear(3, cap); });
+    const auto points = smallSweep("[\"bv\", \"adder\"]");
     const std::string table =
         seriesTable(points, metricFidelity, "fidelity");
     EXPECT_NE(table.find("bv"), std::string::npos);
     EXPECT_NE(table.find("adder"), std::string::npos);
     EXPECT_NE(table.find("26"), std::string::npos);
     EXPECT_NE(table.find("30"), std::string::npos);
+}
+
+TEST(Report, RankingTableRanksBestFirstAndShowsTopRows)
+{
+    // Three points with distinct fidelities, listed worst first, plus
+    // a tie on fidelity broken by runtime and a failed point.
+    std::vector<SweepPoint> points(5);
+    const double log_fid[] = {-3.0, -1.0, -2.0, -1.0, 0.0};
+    for (size_t i = 0; i < points.size(); ++i) {
+        points[i].design = DesignPoint::linear(3, 10 + static_cast<int>(i));
+        points[i].result.sim.logFidelity = log_fid[i];
+        points[i].result.sim.makespan = 1e6;
+    }
+    points[3].result.sim.makespan = 0.5e6; // ties [1], but faster
+    points[4].outcome = PointOutcome::Error;
+
+    const std::string table = rankingTable(points, 3);
+    EXPECT_EQ(table.rfind("rank", 0), 0u) << table;
+    const size_t first = table.find("cap=13");
+    const size_t second = table.find("cap=11");
+    const size_t third = table.find("cap=12");
+    ASSERT_NE(first, std::string::npos) << table;
+    ASSERT_NE(second, std::string::npos) << table;
+    ASSERT_NE(third, std::string::npos) << table;
+    EXPECT_LT(first, second);
+    EXPECT_LT(second, third);
+    // Only three data rows: the worst point and the failed one are cut.
+    EXPECT_EQ(table.find("cap=10"), std::string::npos) << table;
+    EXPECT_EQ(table.find("cap=14"), std::string::npos) << table;
 }
 
 TEST(Report, MetricExtractors)

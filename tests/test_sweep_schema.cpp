@@ -139,6 +139,11 @@ TEST(SweepSchemaDifferential, PinnedFixtures)
           grid + "\"capacity\": 3e10}]}",
           grid + "\"capacity\": []}]}",
           grid + "\"params\": {\"warp_factor\": 9}}]}",
+          grid + "\"params\": {\"buffer_slots\": -1}}]}",
+          grid + "\"params\": [{\"recool_factor\": 0.5}, "
+                 "{\"recool_factor\": 2}]}]}",
+          grid + "\"params\": {\"heating_k1\": -0.1, "
+                 "\"warp_factor\": 9}}]}",
           grid + "\"options\": {\"turbo\": true, "
                  "\"point_timeout_ms\": 0.5}}]}",
           grid + "\"topology\": \"topo:\"}]}",

@@ -125,6 +125,8 @@ TEST(SweepSpecParse, EveryHardwareOverrideKeyIsApplicable)
                  ConfigError);
     EXPECT_THROW(applyHardwareOverride(params, "buffer_slots", 1.5),
                  ConfigError);
+    EXPECT_THROW(applyHardwareOverride(params, "buffer_slots", 1e300),
+                 ConfigError);
 }
 
 TEST(SweepSpecParse, QasmAppsResolveRelativeToBaseDir)
@@ -142,6 +144,34 @@ TEST(SweepSpecParse, QasmAppsResolveRelativeToBaseDir)
     ASSERT_EQ(spec.points.size(), 1u);
     EXPECT_EQ(spec.points[0].application, "pair");
     EXPECT_EQ(spec.points[0].qasmPath, dir + "/pair.qasm");
+}
+
+TEST(SweepSpecParse, JsonEscapedPathsRoundTrip)
+{
+    // Generated specs (the --recommend space) embed a path through
+    // jsonEscape; the parser must read back exactly that path.
+    for (const std::string &path :
+         {std::string("dir/plain.qasm"), std::string("odd \"na\\me.qasm"),
+          std::string("tab\there\r\n.qasm"), std::string("ctl\x01\x1f.qasm"),
+          std::string("caf\xc3\xa9.qasm")}) {
+        const SweepPlan plan = parseSweepPlan(
+            "{\"name\": \"e\", \"sweeps\": [{\"apps\": \"qasm:" +
+            jsonEscape(path) + "\"}]}");
+        ASSERT_EQ(plan.size(), 1u);
+        EXPECT_EQ(plan.point(0).qasmPath, path);
+    }
+    // Unicode escapes decode to UTF-8; surrogates are refused.
+    EXPECT_EQ(parseSweepPlan("{\"name\": \"e\", \"sweeps\": [{\"apps\":"
+                             " \"qasm:caf\\u00e9\\u20ac.qasm\"}]}")
+                  .point(0)
+                  .qasmPath,
+              "caf\xc3\xa9\xe2\x82\xac.qasm");
+    EXPECT_THROW(parseSweepPlan("{\"name\": \"e\", \"sweeps\": [{\"apps\":"
+                                " \"qasm:\\ud800.qasm\"}]}"),
+                 ConfigError);
+    EXPECT_THROW(parseSweepPlan("{\"name\": \"e\", \"sweeps\": [{\"apps\":"
+                                " \"qasm:\\u00g1.qasm\"}]}"),
+                 ConfigError);
 }
 
 TEST(SweepSpecParse, CommentsAndTrailingCommasAccepted)
@@ -458,12 +488,8 @@ engineRows(const std::vector<PlannedPoint> &points, int jobs,
            size_t skip = 0, size_t batch_size = 3)
 {
     SweepEngine engine(jobs);
-    SweepSpecRunner runner(engine);
-    std::vector<SweepPoint> rows;
-    runner.run(points, skip,
-               [&](const SweepPoint &p) { rows.push_back(p); },
-               batch_size);
-    return rows;
+    return SweepSpecRunner(engine).collect(points, {}, nullptr, skip,
+                                           batch_size);
 }
 
 TEST_F(SweepSpecDifferential, EngineMatchesDirectAndShardsCompose)
